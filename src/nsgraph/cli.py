@@ -22,13 +22,13 @@ import time
 from .galaxy import (GalaxyRelation, anchor_hypernode, boundary_ray_witness,
                      build_galaxy_chain, closer_than, in_principal_galaxy,
                      konig_ray_witness, limitedly_distant)
-from .checks import run_check_suite
-from .graphs import Exhausted
+from .checks import _rank, run_check_suite
+from .graphs import Exhausted, UnreachableError
 from .kernel import DEFAULT_HORIZON, IndeterminateError, Trivalent
 from .literals import graph_label, parse_graph, parse_hypernode, parse_node
 from .ordinal import render_ordinal
 from .sequences import sym_value
-from .transfinite import OneGraph, wdistance
+from .transfinite import wdistance
 from .ultrapower import is_standard, node_at
 
 COMMANDS = ("distance", "wdistance", "classify", "closer", "chain",
@@ -54,10 +54,6 @@ def _verdict_record(v) -> dict:
                        if v.certified_bound is not None else None)
     record["tight"] = v.tight
     return record
-
-
-def _rank(graph) -> int:
-    return 1 if isinstance(graph, OneGraph) else 0
 
 
 # ====== command bodies; each returns (result dict, exit code) ======
@@ -205,9 +201,11 @@ def run_job(job: dict, opts: dict) -> tuple[dict, int]:
                 local[key] = int(job[key])
         result, code = _BODIES[command](graph, job, local)
         record["result"] = result
-        record["status"] = "ok" if code == OK else "caveat"
-    except IndeterminateError as exc:
-        record["result"] = {"verdict": "indeterminate"}
+        record["status"] = {OK: "ok", CAVEAT: "caveat", ERROR: "error"}[code]
+    except (IndeterminateError, UnreachableError) as exc:
+        # out of evidence, or a search stopped short of its target: refuse
+        verdict = "exhausted" if isinstance(exc, UnreachableError) else "indeterminate"
+        record["result"] = {"verdict": verdict}
         record["status"] = "caveat"
         record["error"] = str(exc)
         code = CAVEAT

@@ -641,6 +641,8 @@ class PerturbedGrid(Grid2D):
         start = sym_start(pure)
         if c.kind == "pinf":
             return Opaque(fn, to_pinf=True, start=start)
+        if c.kind == "range" and c.exact and c.hi == 0:
+            return pure  # the same node: no edit changes d(x, x) = 0
         if c.kind == "range":
             return Opaque(fn, lo=max(0, c.lo - self.max_shortcut),
                           hi=c.hi + self.max_detour, start=start)

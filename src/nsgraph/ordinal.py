@@ -55,14 +55,6 @@ ZERO = Ordinal(0, 0)
 OMEGA = Ordinal(1, 0)
 
 
-def from_finite(n: int) -> Ordinal:
-    return Ordinal(0, n)
-
-
-def from_omega_multiple(k: int) -> Ordinal:
-    return Ordinal(k, 0)
-
-
 def natural_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     return a + b
 

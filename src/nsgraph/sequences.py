@@ -486,10 +486,6 @@ def sym_scale(k: int, x: SymInt) -> SymInt:
     return _from_cls(c, fn, sym_start(x))
 
 
-def sym_const(c: int) -> SymInt:
-    return Aff(0, c)
-
-
 # ====== Growth classes (public face of classification) ======
 
 @dataclass(frozen=True)

@@ -7,6 +7,18 @@ The search never materialises a walk; it runs a lexicographic Dijkstra over a
 finite quotient (sections as connecting fabric, 1-nodes and promoted
 endpoints as vertices) and returns the length plus a finite leg summary.
 
+Each family states its gluing once, as a class-level incidence table
+(`INCIDENCE`).  A row `Touch(one, section, offset)` says that the 1-node of
+kind `one` and index k touches the section of kind `section` and index
+k + offset, at a tip, or through the 0-node `embedded(k)` it holds inside
+that section.  Two rows are infinite fans over one single node (index 0):
+`fan="sections"` makes the 1-node touch every section of the kind (the
+ladder ground xg), `fan="ones"` makes the section touch every 1-node of the
+kind (the partial ladder's star).  `OneGraph` derives both lookup directions
+from the table, `sections_of(one, window)` and `incidences(section, window)`,
+and fans are cut to the index window; the search and the boundary and
+adjacency predicates read nothing else.
+
 The catalog builds four fixed families:
 
   diamond_chain              series of diamond "chains", tip-only 1-nodes
@@ -24,7 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .graphs import (NodeTerm, NotAMemberError, UnreachableError, natkey)
 from .kernel import TruthSet, cofinite_set, finite_set, intersect
@@ -50,13 +62,6 @@ class SectionId:
 
 
 @dataclass(frozen=True)
-class TipId:
-    """A named infinite extremity of one section."""
-    section: SectionId
-    name: str
-
-
-@dataclass(frozen=True)
 class OneNodeId:
     kind: str  # "x1" indexed, "xg" the ladder ground 1-node
     index: int = 0
@@ -68,24 +73,20 @@ class OneNodeId:
         return "xg" if self.kind == "xg" else f"x1:{self.index}"
 
 
-@dataclass(frozen=True)
-class OneNode:
-    """A 1-node: a set of tips, optionally holding one embedded 0-node.
-
-    `tips` is None for the one catalog 1-node with infinitely many tips (the
-    blown-up ladder's ground); enumerate those through tips_of() instead.
-    """
-    id: OneNodeId
-    tips: frozenset[TipId] | None
-    embedded: object | None = None
+class Touch(NamedTuple):
+    """One incidence-table row; see the module docstring."""
+    one: str
+    section: str
+    offset: int = 0
+    fan: str = ""  # "" | "sections" | "ones"
+    embedded: Callable[[int], object] | None = None  # None: a tip
 
 
-@dataclass(frozen=True)
-class Incidence:
-    """How one 1-node touches one section: a tip, an embedded 0-node, or both."""
+class Incidence(NamedTuple):
+    """One 1-node touching one section, at a tip or through `embedded`."""
     one: OneNodeId
-    tip: TipId | None = None
-    embedded: object | None = None
+    section: SectionId
+    embedded: object | None
 
 
 # ====== 0-nodes of the catalog families ======
@@ -127,16 +128,12 @@ class StarNode:
         return ("star", natkey(-1 if self.leaf is None else self.leaf))
 
 
-def _vertex_key(ref) -> tuple:
-    return ref.sort_key()
-
-
 # ====== Walk summaries ======
 
 @dataclass(frozen=True)
 class WalkLeg:
     via: SectionId
-    mechanism: str  # "finite" | "tip" | "tip+tip" | "tip+embedded" | "embedded"
+    mechanism: str  # "finite" | "tip" | "tip+tip": tips crossed by the leg
     cost: Ordinal
 
 
@@ -163,18 +160,20 @@ def _abs_scaled(delta: SymInt, factor: int) -> SymInt:
     return sym_scale(factor, sym_abs(delta))
 
 
-def _updown(delta: SymInt, fn: Callable[[int], int],
-            up: tuple[int, int], down: tuple[int, int]) -> SymInt | None:
+def _updown(delta: SymInt, up: tuple[int, int], down: tuple[int, int],
+            fn: Callable[[int], int] | None = None) -> SymInt | None:
     """Piecewise-linear in delta: up[0]*d+up[1] when d >= 1, down[0]*|d|+down[1] otherwise."""
+    value = lambda d: up[0] * d + up[1] if d >= 1 else down[0] * (-d) + down[1]
+    if fn is None:
+        fn = lambda n: value(sym_value(delta, n))
     if isinstance(delta, ParityS):
-        e = _updown(delta.even, fn, up, down)
-        o = _updown(delta.odd, fn, up, down)
+        e = _updown(delta.even, up, down, fn)
+        o = _updown(delta.odd, up, down, fn)
         if e is None or o is None:
             return None
         return parity_sym(e, o)
     c = classify(delta)
     start = sym_start(delta)
-    value = lambda d: up[0] * d + up[1] if d >= 1 else down[0] * (-d) + down[1]
     if c.kind == "range" and c.exact:
         return Aff(0, value(c.lo), start)
     if c.kind in ("pinf", "ninf"):
@@ -191,8 +190,64 @@ def _updown(delta: SymInt, fn: Callable[[int], int],
     return None
 
 
-def _fn_from_sym(sym: SymInt, shape: Callable[[int], int]) -> Callable[[int], int]:
-    return lambda n: shape(sym_value(sym, n))
+def _position_gap(ta: NodeTerm, tb: NodeTerm) -> SymInt:
+    """|p_a - p_b| of two terms whose second parameter is a position."""
+    return sym_abs(sym_sub(ta.param_syms()[1], tb.param_syms()[1]))
+
+
+def _same_kind_section(ta: NodeTerm, tb: NodeTerm) -> TruthSet | None:
+    """{n : same section} when the constructor and first index name the section."""
+    if ta.ctor != tb.ctor:
+        return finite_set()
+    return eq_truthset(sym_sub(ta.param_syms()[0], tb.param_syms()[0]))
+
+
+def _series_one_sym(ta: NodeTerm, tb: NodeTerm) -> tuple[SymInt, SymInt] | None:
+    """x1-x1 and x1-section forms of a series of sections glued tip to tip.
+
+    x1:k sits between sections k-1 and k, and crossing a section costs w*2.
+    """
+    if ta.ctor == "x1" and tb.ctor == "x1":
+        delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
+        return _abs_scaled(delta, 2), Aff(0, 0, sym_start(delta))
+    if tb.ctor == "x1":
+        ta, tb = tb, ta
+    delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])  # x1 index minus section index
+    omega = _updown(delta, up=(2, -1), down=(2, 1))
+    if omega is None:
+        return None
+    return omega, Aff(0, 0, sym_start(delta))
+
+
+def _by_section(same: TruthSet | None, start: int,
+                same_finite: Callable[[], SymInt | None],
+                cross: Callable[[int], tuple[SymInt, SymInt] | None]):
+    """Zero-zero form split on {n : the two 0-nodes share a section}.
+
+    Cofinitely shared: omega 0 and the in-section gap `same_finite()`.
+    Finitely shared: the family's cross-section form `cross(start)`, with
+    the start moved past the last shared index.  A parity-straddling split
+    gives None, and the caller falls back to pointwise search.
+    """
+    if same is None:
+        return None
+    t = same.threshold
+    if same.kind == "cofinite":
+        fin = same_finite()
+        return None if fin is None else (Aff(0, 0, max(start, t)), bump_start(fin, t))
+    if same.kind == "finite":
+        return cross(max(start, t))
+    return None
+
+
+def _step_adjacency(same: TruthSet | None, ta: NodeTerm, tb: NodeTerm) -> TruthSet | None:
+    """Adjacency on endless-path sections: shared section, positions one apart."""
+    if same is None or same.kind == "split":
+        return None
+    if same.kind == "finite":
+        return finite_set(same.threshold)
+    step = eq_const_truthset(_position_gap(ta, tb), 1)
+    return intersect(step, same) if step is not None else None
 
 
 # ====== Base class ======
@@ -201,10 +256,19 @@ class OneGraph:
     """A catalog 1-graph presented through section and incidence oracles."""
 
     family: str = ""
+    INCIDENCE: tuple[Touch, ...] = ()
+    two_way: bool = False  # indices run over all integers, not from 0
     locally_1_finite: bool = True        # sections touch finitely many boundary 1-nodes
     locally_section_finite: bool = True  # 1-nodes touch finitely many sections
     one_wconnected: bool = True
     infinitely_many_boundary: bool = True
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._BY_ONE, cls._BY_SECTION = {}, {}
+        for row in cls.INCIDENCE:
+            cls._BY_ONE.setdefault(row.one, []).append(row)
+            cls._BY_SECTION.setdefault(row.section, []).append(row)
 
     # -- membership --
     def contains(self, ref) -> bool:
@@ -233,33 +297,66 @@ class OneGraph:
     def sections(self, horizon: int) -> Iterator[SectionId]:
         raise NotImplementedError
 
-    def one_node(self, one_id: OneNodeId) -> OneNode:
-        raise NotImplementedError
-
     def one_node_ids(self, horizon: int) -> Iterator[OneNodeId]:
-        raise NotImplementedError
+        for kind, rows in self._BY_ONE.items():
+            if rows[0].fan == "sections":  # the single 1-node of a fan
+                yield OneNodeId(kind)
+            else:
+                yield from (OneNodeId(kind, k) for k in self._indices(horizon))
+
+    # -- incidence, derived from INCIDENCE --
+    def _indices(self, horizon: int) -> Iterator[int]:
+        """0, 1, 2, ... or, two-way, 0, 1, -1, 2, -2, ..."""
+        for k in range(horizon):
+            yield k
+            if self.two_way and k > 0:
+                yield -k
+
+    def _fan(self, window: tuple[int, int]) -> range:
+        lo, hi = window
+        return range(lo if self.two_way else max(lo, 0), hi + 1)
 
     def incidences(self, section: SectionId, window: tuple[int, int]) -> list[Incidence]:
         """1-nodes touching the section, index-restricted for infinite fans."""
-        raise NotImplementedError
+        out = []
+        for row in self._BY_SECTION[section.kind]:
+            held = row.embedded
+            if row.fan == "ones":
+                out += [Incidence(OneNodeId(row.one, k), section, None if held is None else held(k))
+                        for k in self._fan(window)]
+                continue
+            k = 0 if row.fan == "sections" else section.index - row.offset
+            if self.two_way or k >= 0:
+                out.append(Incidence(OneNodeId(row.one, k), section,
+                                     None if held is None else held(k)))
+        return out
 
-    def sections_of(self, one_id: OneNodeId,
-                    window: tuple[int, int]) -> list[tuple[SectionId, Incidence]]:
-        raise NotImplementedError
+    def sections_of(self, one_id: OneNodeId, window: tuple[int, int]) -> list[Incidence]:
+        """Sections the 1-node touches, index-restricted for infinite fans."""
+        k = one_id.index
+        out = []
+        for row in self._BY_ONE[one_id.kind]:
+            held = None if row.embedded is None else row.embedded(k)
+            if row.fan == "sections":
+                out += [Incidence(one_id, SectionId(row.section, s), held)
+                        for s in self._fan(window)]
+                continue
+            s = 0 if row.fan == "ones" else k + row.offset
+            if self.two_way or s >= 0:
+                out.append(Incidence(one_id, SectionId(row.section, s), held))
+        return out
 
     def one_node_containing(self, zero_node) -> OneNodeId | None:
         """The 1-node a nonmaximal 0-node is embedded in, if any."""
         return None
 
     def anchor_one(self) -> OneNodeId:
-        raise NotImplementedError
+        return OneNodeId("x1", 0)
 
     def anchor_term(self) -> NodeTerm:
         """The anchor 1-node as a constant node term."""
-        raise NotImplementedError
-
-    def anchor_zero(self):
-        raise NotImplementedError
+        one = self.anchor_one()
+        return NodeTerm(one.kind, (Constant(one.index),) if self.TERM_ARITY[one.kind] else ())
 
     # -- indices, used for search windows --
     def ref_indices(self, ref) -> list[int]:
@@ -325,27 +422,17 @@ def promote(g: OneGraph, ref):
 
 # ====== The lexicographic quotient search ======
 
-def _incidence_entry_cost(g: OneGraph, u, inc: Incidence) -> tuple[int, int] | None:
+def _incidence_entry_cost(g: OneGraph, u, inc: Incidence) -> tuple[int, int]:
     """Lex cost from a 0-node to a 1-node met inside the node's section."""
-    best = None
     if inc.embedded is not None:
-        best = (0, g.section_distance(u, inc.embedded))
-    if inc.tip is not None and best is None:
-        best = (1, 0)
-    return best
+        return (0, g.section_distance(u, inc.embedded))
+    return (1, 0)
 
 
 def _one_to_one_cost(g: OneGraph, inc_a: Incidence, inc_b: Incidence) -> tuple[int, int]:
-    options = []
-    if inc_a.tip is not None and inc_b.tip is not None:
-        options.append((2, 0))
-    if inc_a.tip is not None and inc_b.embedded is not None:
-        options.append((1, 0))
-    if inc_a.embedded is not None and inc_b.tip is not None:
-        options.append((1, 0))
     if inc_a.embedded is not None and inc_b.embedded is not None:
-        options.append((0, g.section_distance(inc_a.embedded, inc_b.embedded)))
-    return min(options)
+        return (0, g.section_distance(inc_a.embedded, inc_b.embedded))
+    return ((inc_a.embedded is None) + (inc_b.embedded is None), 0)  # w per tip crossed
 
 
 def _mechanism(cost: tuple[int, int]) -> str:
@@ -373,11 +460,11 @@ def wdistance_witness(g: OneGraph, x, y,
 
     def edges(ref):
         if isinstance(ref, OneNodeId):
-            for section, inc_self in g.sections_of(ref, window):
+            for inc_self in g.sections_of(ref, window):
+                section = inc_self.section
                 if not isinstance(y, OneNodeId) and g.section_of(y) == section:
                     cost = _incidence_entry_cost(g, y, inc_self)
-                    if cost is not None:
-                        yield y, cost, WalkLeg(section, _mechanism(cost), Ordinal(*cost))
+                    yield y, cost, WalkLeg(section, _mechanism(cost), Ordinal(*cost))
                 for inc in g.incidences(section, window):
                     if inc.one == ref:
                         continue
@@ -390,12 +477,11 @@ def wdistance_witness(g: OneGraph, x, y,
                 yield y, cost, WalkLeg(section, "finite", Ordinal(*cost))
             for inc in g.incidences(section, window):
                 cost = _incidence_entry_cost(g, ref, inc)
-                if cost is not None:
-                    yield inc.one, cost, WalkLeg(section, _mechanism(cost), Ordinal(*cost))
+                yield inc.one, cost, WalkLeg(section, _mechanism(cost), Ordinal(*cost))
 
     dist: dict = {x: (0, 0)}
     pred: dict = {}
-    heap = [(0, 0, _vertex_key(x), x)]
+    heap = [(0, 0, x.sort_key(), x)]
     done = set()
     pops = 0
     while heap:
@@ -414,7 +500,7 @@ def wdistance_witness(g: OneGraph, x, y,
             if known is None or cand < known:
                 dist[nref] = cand
                 pred[nref] = (ref, leg)
-                heapq.heappush(heap, (cand[0], cand[1], _vertex_key(nref), nref))
+                heapq.heappush(heap, (cand[0], cand[1], nref.sort_key(), nref))
     if y not in done:
         raise UnreachableError(f"{x!r} and {y!r} are not 1-wconnected within the window")
     total = Ordinal(*dist[y])
@@ -438,7 +524,7 @@ def is_boundary(g: OneGraph, one_id: OneNodeId, horizon: int = 64) -> bool:
     """Boundary 1-nodes touch at least two sections (tips plus embedded node)."""
     g.require_member(one_id)
     window = (-horizon, horizon)
-    return len({section for section, _ in g.sections_of(one_id, window)}) >= 2
+    return len({inc.section for inc in g.sections_of(one_id, window)}) >= 2
 
 
 def boundary_one_nodes(g: OneGraph, horizon: int = 64) -> Iterator[OneNodeId]:
@@ -464,8 +550,8 @@ def one_adjacent(g: OneGraph, a: OneNodeId, b: OneNodeId, horizon: int = 64) -> 
     g.require_member(a)
     g.require_member(b)
     window = (-horizon, horizon)
-    sections_a = {section for section, _ in g.sections_of(a, window)}
-    return any(section in sections_a for section, _ in g.sections_of(b, window))
+    sections_a = {inc.section for inc in g.sections_of(a, window)}
+    return any(inc.section in sections_a for inc in g.sections_of(b, window))
 
 
 @dataclass(frozen=True)
@@ -499,6 +585,8 @@ class DiamondChain(OneGraph):
 
     family = "diamond_chain"
     TERM_ARITY = {"j": 2, "l": 2, "r": 2, "x0": 1, "x1": 1}
+    # x1:k glues the right tip of chain k-1 to the left tip of chain k
+    INCIDENCE = (Touch("x1", "chain", -1), Touch("x1", "chain", 0))
 
     def contains_zero(self, node) -> bool:
         return (isinstance(node, DiamondNode) and node.side in "jlr"
@@ -525,41 +613,6 @@ class DiamondChain(OneGraph):
     def sections(self, horizon):
         return (SectionId("chain", k) for k in range(horizon))
 
-    def one_node(self, one_id) -> OneNode:
-        self.require_member(one_id)
-        k = one_id.index
-        tips = {TipId(SectionId("chain", k), "left")}
-        if k >= 1:
-            tips.add(TipId(SectionId("chain", k - 1), "right"))
-        return OneNode(one_id, frozenset(tips))
-
-    def one_node_ids(self, horizon):
-        return (OneNodeId("x1", k) for k in range(horizon))
-
-    def incidences(self, section, window):
-        k = section.index
-        return [Incidence(OneNodeId("x1", k), tip=TipId(section, "left")),
-                Incidence(OneNodeId("x1", k + 1), tip=TipId(section, "right"))]
-
-    def sections_of(self, one_id, window):
-        k = one_id.index
-        out = []
-        if k >= 1:
-            s = SectionId("chain", k - 1)
-            out.append((s, Incidence(one_id, tip=TipId(s, "right"))))
-        s = SectionId("chain", k)
-        out.append((s, Incidence(one_id, tip=TipId(s, "left"))))
-        return out
-
-    def anchor_one(self):
-        return OneNodeId("x1", 0)
-
-    def anchor_zero(self):
-        return DiamondNode("j", 0, 0)
-
-    def anchor_term(self):
-        return NodeTerm("x1", (Constant(0),))
-
     def ref_indices(self, ref) -> list[int]:
         return [ref.index if isinstance(ref, OneNodeId) else ref.chain]
 
@@ -579,38 +632,12 @@ class DiamondChain(OneGraph):
 
     def symbolic_wdistance(self, ta, tb):
         ta, tb = self.normalize_term(ta), self.normalize_term(tb)
-        if ta.ctor == "x1" and tb.ctor == "x1":
-            delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-            return _abs_scaled(delta, 2), Aff(0, 0, sym_start(delta))
         if "x1" in (ta.ctor, tb.ctor):
-            if tb.ctor == "x1":
-                ta, tb = tb, ta
-            m = ta.param_syms()[0]
-            k = tb.param_syms()[0]
-            delta = sym_sub(m, k)  # x1 index minus chain index
-            omega = _updown(delta, _fn_from_sym(delta, lambda d: 2 * d - 1 if d >= 1 else 2 * (-d) + 1),
-                            up=(2, -1), down=(2, 1))
-            if omega is None:
-                return None
-            return omega, Aff(0, 0, sym_start(delta))
-        return self._zero_zero_sym(ta, tb)
-
-    def _zero_zero_sym(self, ta, tb):
-        ka, kb = ta.param_syms()[0], tb.param_syms()[0]
-        delta = sym_sub(ka, kb)
-        same_chain = eq_truthset(delta)
-        if same_chain is None:
-            return None
-        start = sym_start(delta)
-        if same_chain.kind == "cofinite":
-            fin = self._same_chain_distance(ta, tb)
-            if fin is None:
-                return None
-            t = same_chain.threshold
-            return Aff(0, 0, max(start, t)), bump_start(fin, t)
-        if same_chain.kind == "finite":
-            return _abs_scaled(delta, 2), Aff(0, 0, max(start, same_chain.threshold))
-        return None  # parity-straddling chain split: fall back to pointwise
+            return _series_one_sym(ta, tb)
+        delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
+        return _by_section(eq_truthset(delta), sym_start(delta),
+                           lambda: self._same_chain_distance(ta, tb),
+                           lambda start: (_abs_scaled(delta, 2), Aff(0, 0, start)))
 
     def _same_chain_distance(self, ta, tb) -> SymInt | None:
         da, db = ta.param_syms()[1], tb.param_syms()[1]
@@ -684,6 +711,9 @@ class OnePathOfEndlessPaths(OneGraph):
 
     family = "one_path_of_endless_paths"
     TERM_ARITY = {"e": 2, "x1": 1}
+    # x1:k glues the positive tip of seg k-1 to the negative tip of seg k
+    INCIDENCE = (Touch("x1", "seg", -1), Touch("x1", "seg", 0))
+    two_way = True
 
     def contains_zero(self, node) -> bool:
         return isinstance(node, SegNode)
@@ -698,44 +728,7 @@ class OnePathOfEndlessPaths(OneGraph):
         return abs(u.pos - v.pos)
 
     def sections(self, horizon):
-        for k in range(horizon):
-            yield SectionId("seg", k)
-            if k > 0:
-                yield SectionId("seg", -k)
-
-    def one_node(self, one_id) -> OneNode:
-        self.require_member(one_id)
-        k = one_id.index
-        return OneNode(one_id, frozenset({
-            TipId(SectionId("seg", k - 1), "pos"),
-            TipId(SectionId("seg", k), "neg"),
-        }))
-
-    def one_node_ids(self, horizon):
-        for k in range(horizon):
-            yield OneNodeId("x1", k)
-            if k > 0:
-                yield OneNodeId("x1", -k)
-
-    def incidences(self, section, window):
-        k = section.index
-        return [Incidence(OneNodeId("x1", k), tip=TipId(section, "neg")),
-                Incidence(OneNodeId("x1", k + 1), tip=TipId(section, "pos"))]
-
-    def sections_of(self, one_id, window):
-        k = one_id.index
-        left, right = SectionId("seg", k - 1), SectionId("seg", k)
-        return [(left, Incidence(one_id, tip=TipId(left, "pos"))),
-                (right, Incidence(one_id, tip=TipId(right, "neg")))]
-
-    def anchor_one(self):
-        return OneNodeId("x1", 0)
-
-    def anchor_zero(self):
-        return SegNode(0, 0)
-
-    def anchor_term(self):
-        return NodeTerm("x1", (Constant(0),))
+        return (SectionId("seg", k) for k in self._indices(horizon))
 
     def ref_indices(self, ref) -> list[int]:
         return [ref.index if isinstance(ref, OneNodeId) else ref.seg]
@@ -748,42 +741,17 @@ class OnePathOfEndlessPaths(OneGraph):
         raise NotAMemberError(f"unknown constructor {ctor!r} for {self.family}")
 
     def symbolic_wdistance(self, ta, tb):
-        if ta.ctor == "x1" and tb.ctor == "x1":
-            delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-            return _abs_scaled(delta, 2), Aff(0, 0, sym_start(delta))
         if "x1" in (ta.ctor, tb.ctor):
-            if tb.ctor == "x1":
-                ta, tb = tb, ta
-            delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])  # m - k
-            omega = _updown(delta, _fn_from_sym(delta, lambda d: 2 * d - 1 if d >= 1 else 2 * (-d) + 1),
-                            up=(2, -1), down=(2, 1))
-            if omega is None:
-                return None
-            return omega, Aff(0, 0, sym_start(delta))
+            return _series_one_sym(ta, tb)
         delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-        same_seg = eq_truthset(delta)
-        if same_seg is None:
-            return None
-        start = sym_start(delta)
-        if same_seg.kind == "cofinite":
-            fin = sym_abs(sym_sub(ta.param_syms()[1], tb.param_syms()[1]))
-            t = same_seg.threshold
-            return Aff(0, 0, max(start, t)), bump_start(fin, t)
-        if same_seg.kind == "finite":
-            return _abs_scaled(delta, 2), Aff(0, 0, max(start, same_seg.threshold))
-        return None
+        return _by_section(eq_truthset(delta), sym_start(delta),
+                           lambda: _position_gap(ta, tb),
+                           lambda start: (_abs_scaled(delta, 2), Aff(0, 0, start)))
 
     def adjacency_truthset(self, ta, tb):
         if "x1" in (ta.ctor, tb.ctor):
             return finite_set()
-        same_seg = eq_truthset(sym_sub(ta.param_syms()[0], tb.param_syms()[0]))
-        if same_seg is None or same_seg.kind == "split":
-            return None
-        if same_seg.kind == "finite":
-            return finite_set(same_seg.threshold)
-        step = eq_const_truthset(
-            sym_abs(sym_sub(ta.param_syms()[1], tb.param_syms()[1])), 1)
-        return intersect(step, same_seg) if step is not None else None
+        return _step_adjacency(_same_kind_section(ta, tb), ta, tb)
 
     def sample_maximal_nodes(self, rng, count, span=6):
         out = []
@@ -806,6 +774,9 @@ class LadderOfEndlessPaths(OneGraph):
     family = "ladder_of_endless_paths"
     locally_section_finite = False  # xg touches every vertical section
     TERM_ARITY = {"v": 2, "h": 2, "x1": 1, "xg": 0}
+    # x1:k joins v k, h k-1 and h k; the ground holds a tip of every v section
+    INCIDENCE = (Touch("xg", "v", fan="sections"), Touch("x1", "v", 0),
+                 Touch("x1", "h", -1), Touch("x1", "h", 0))
 
     def contains_zero(self, node) -> bool:
         return isinstance(node, RailNode) and node.rail in "vh" and node.index >= 0
@@ -826,55 +797,8 @@ class LadderOfEndlessPaths(OneGraph):
             yield SectionId("v", k)
             yield SectionId("h", k)
 
-    def one_node(self, one_id) -> OneNode:
-        self.require_member(one_id)
-        if one_id.kind == "xg":
-            return OneNode(one_id, None)  # a tip in every vertical section
-        k = one_id.index
-        tips = {TipId(SectionId("v", k), "pos"), TipId(SectionId("h", k), "neg")}
-        if k >= 1:
-            tips.add(TipId(SectionId("h", k - 1), "pos"))
-        return OneNode(one_id, frozenset(tips))
-
-    def one_node_ids(self, horizon):
-        yield OneNodeId("xg")
-        yield from (OneNodeId("x1", k) for k in range(horizon))
-
-    def incidences(self, section, window):
-        k = section.index
-        if section.kind == "v":
-            return [Incidence(OneNodeId("xg"), tip=TipId(section, "neg")),
-                    Incidence(OneNodeId("x1", k), tip=TipId(section, "pos"))]
-        return [Incidence(OneNodeId("x1", k), tip=TipId(section, "neg")),
-                Incidence(OneNodeId("x1", k + 1), tip=TipId(section, "pos"))]
-
-    def sections_of(self, one_id, window):
-        if one_id.kind == "xg":
-            lo, hi = window
-            out = []
-            for k in range(max(lo, 0), hi + 1):
-                s = SectionId("v", k)
-                out.append((s, Incidence(one_id, tip=TipId(s, "neg"))))
-            return out
-        k = one_id.index
-        out = []
-        s = SectionId("v", k)
-        out.append((s, Incidence(one_id, tip=TipId(s, "pos"))))
-        if k >= 1:
-            s = SectionId("h", k - 1)
-            out.append((s, Incidence(one_id, tip=TipId(s, "pos"))))
-        s = SectionId("h", k)
-        out.append((s, Incidence(one_id, tip=TipId(s, "neg"))))
-        return out
-
     def anchor_one(self):
         return OneNodeId("xg")
-
-    def anchor_zero(self):
-        return RailNode("v", 0, 0)
-
-    def anchor_term(self):
-        return NodeTerm("xg", ())
 
     def ref_indices(self, ref) -> list[int]:
         if isinstance(ref, OneNodeId):
@@ -912,37 +836,18 @@ class LadderOfEndlessPaths(OneGraph):
         cap = self._OMEGA_CAP[tuple(sorted((sort_a, sort_b)))]
         fn_pair = self.term_wdistance_fn(ta, tb)
         omega = Opaque(lambda n: fn_pair(n).omega_coeff, lo=0, hi=cap, start=start)
-        if sort_a == "zero" and sort_b == "zero":
-            same = self._same_section_ts(ta, tb)
-            if same is not None and same.kind == "cofinite":
-                fin = sym_abs(sym_sub(ta.param_syms()[1], tb.param_syms()[1]))
-                return Aff(0, 0, max(start, same.threshold)), bump_start(fin, same.threshold)
-        finite = Opaque(lambda n: fn_pair(n).finite_part, lo=0,
-                        hi=None, start=start)
-        if sort_a == "zero" and sort_b == "zero":
-            same = self._same_section_ts(ta, tb)
-            if same is not None and same.kind == "finite":
-                finite = Aff(0, 0, max(start, same.threshold))
-        else:
-            finite = Aff(0, 0, start)
-        return omega, finite
-
-    def _same_section_ts(self, ta, tb):
-        if ta.ctor != tb.ctor:
-            return finite_set()
-        return eq_truthset(sym_sub(ta.param_syms()[0], tb.param_syms()[0]))
+        if sort_a != "zero" or sort_b != "zero":
+            return omega, Aff(0, 0, start)
+        pair = _by_section(_same_kind_section(ta, tb), start,
+                           lambda: _position_gap(ta, tb),
+                           lambda start: (omega, Aff(0, 0, start)))
+        return pair or (omega, Opaque(lambda n: fn_pair(n).finite_part, lo=0,
+                                      hi=None, start=start))
 
     def adjacency_truthset(self, ta, tb):
         if "x1" in (ta.ctor, tb.ctor) or "xg" in (ta.ctor, tb.ctor):
             return finite_set()
-        same = self._same_section_ts(ta, tb)
-        if same is None or same.kind == "split":
-            return None
-        if same.kind == "finite":
-            return finite_set(same.threshold)
-        step = eq_const_truthset(
-            sym_abs(sym_sub(ta.param_syms()[1], tb.param_syms()[1])), 1)
-        return intersect(step, same) if step is not None else None
+        return _step_adjacency(_same_kind_section(ta, tb), ta, tb)
 
     def sample_maximal_nodes(self, rng, count, span=6):
         out = []
@@ -969,6 +874,9 @@ class PartialLadderOfEndlessPaths(OneGraph):
     family = "partial_ladder"
     locally_1_finite = False  # the star meets every rung 1-node
     TERM_ARITY = {"h": 2, "zg": 1, "xg": 0, "x1": 1}
+    # x1:k holds the star leaf toward x_k and joins h k-1 and h k at tips
+    INCIDENCE = (Touch("x1", "star", fan="ones", embedded=StarNode),
+                 Touch("x1", "h", -1), Touch("x1", "h", 0))
 
     def contains_zero(self, node) -> bool:
         if isinstance(node, StarNode):
@@ -994,50 +902,10 @@ class PartialLadderOfEndlessPaths(OneGraph):
         yield SectionId("star")
         yield from (SectionId("h", k) for k in range(horizon))
 
-    def one_node(self, one_id) -> OneNode:
-        self.require_member(one_id)
-        k = one_id.index
-        tips = {TipId(SectionId("h", k), "neg")}
-        if k >= 1:
-            tips.add(TipId(SectionId("h", k - 1), "pos"))
-        return OneNode(one_id, frozenset(tips), embedded=StarNode(k))
-
-    def one_node_ids(self, horizon):
-        return (OneNodeId("x1", k) for k in range(horizon))
-
-    def incidences(self, section, window):
-        if section.kind == "star":
-            lo, hi = window
-            return [Incidence(OneNodeId("x1", k), embedded=StarNode(k))
-                    for k in range(max(lo, 0), hi + 1)]
-        k = section.index
-        return [Incidence(OneNodeId("x1", k), tip=TipId(section, "neg")),
-                Incidence(OneNodeId("x1", k + 1), tip=TipId(section, "pos"))]
-
-    def sections_of(self, one_id, window):
-        k = one_id.index
-        star = SectionId("star")
-        out = [(star, Incidence(one_id, embedded=StarNode(k)))]
-        if k >= 1:
-            s = SectionId("h", k - 1)
-            out.append((s, Incidence(one_id, tip=TipId(s, "pos"))))
-        s = SectionId("h", k)
-        out.append((s, Incidence(one_id, tip=TipId(s, "neg"))))
-        return out
-
     def one_node_containing(self, zero_node):
         if isinstance(zero_node, StarNode) and zero_node.leaf is not None:
             return OneNodeId("x1", zero_node.leaf)
         return None
-
-    def anchor_one(self):
-        return OneNodeId("x1", 0)
-
-    def anchor_zero(self):
-        return StarNode(None)
-
-    def anchor_term(self):
-        return NodeTerm("x1", (Constant(0),))
 
     def ref_indices(self, ref) -> list[int]:
         if isinstance(ref, OneNodeId):
@@ -1092,19 +960,13 @@ class PartialLadderOfEndlessPaths(OneGraph):
                 return None
             return Aff(0, 1, start), fin
         delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-        same = eq_truthset(delta)
-        if same is None:
-            return None
-        if same.kind == "cofinite":
-            fin = sym_abs(sym_sub(ta.param_syms()[1], tb.param_syms()[1]))
-            return Aff(0, 0, max(start, same.threshold)), bump_start(fin, same.threshold)
-        if same.kind == "finite":
-            omega = Aff(0, 2, max(start, same.threshold))
-            fin = zone_by_magnitude(delta, (0, 0, 2))
-            if fin is None:
-                return None
-            return omega, fin
-        return None
+        return _by_section(eq_truthset(delta), start, lambda: _position_gap(ta, tb),
+                           lambda start: self._cross_rails(delta, start))
+
+    @staticmethod
+    def _cross_rails(delta: SymInt, start: int) -> tuple[SymInt, SymInt] | None:
+        fin = zone_by_magnitude(delta, (0, 0, 2))
+        return None if fin is None else (Aff(0, 2, start), fin)
 
     @staticmethod
     def _zone_min(mag_a: SymInt, mag_b: SymInt, images) -> SymInt | None:
@@ -1130,14 +992,7 @@ class PartialLadderOfEndlessPaths(OneGraph):
             return None
         if kinds == {"h", "xg"}:
             return finite_set()
-        same = eq_truthset(sym_sub(ta.param_syms()[0], tb.param_syms()[0]))
-        if same is None or same.kind == "split":
-            return None
-        if same.kind == "finite":
-            return finite_set(same.threshold)
-        step = eq_const_truthset(
-            sym_abs(sym_sub(ta.param_syms()[1], tb.param_syms()[1])), 1)
-        return intersect(step, same) if step is not None else None
+        return _step_adjacency(_same_kind_section(ta, tb), ta, tb)
 
     def sample_maximal_nodes(self, rng, count, span=6):
         out = []

@@ -23,6 +23,14 @@ def test_partition_suite():
         assert rep.passed, (family, rep)
 
 
+def test_partition_suite_on_an_edited_grid():
+    # reflexivity needs d(x, x) = 0 exactly, with or without edits
+    edited = {"family": "perturbed_grid",
+              "edits": [{"op": "remove", "a": [1, 0], "b": [1, 1]}]}
+    rep = run_check_suite(parse_graph(edited), "galaxy-partition", seed=0)
+    assert rep.passed, rep
+
+
 def test_order_suite():
     rep = run_check_suite(parse_graph("one_ended_path"), "order")
     assert rep.passed

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from nsgraph import cli
+from nsgraph.checks import CheckResult, SuiteReport
 from nsgraph.cli import main
 
 LADDER_CLASSIFY = {"graph": "ladder", "command": "classify",
@@ -91,6 +93,30 @@ def test_budget_exhaustion_is_a_caveat(tmp_path, capsys):
     assert code == 2
     assert records[0]["result"] == {"verdict": "exhausted", "budget": 4}
     assert records[1]["result"] == {"distance": 15}
+
+
+def test_search_exhaustion_is_a_caveat_and_the_batch_goes_on(tmp_path, capsys):
+    jobs = [
+        {"graph": "diamond_chain", "command": "wdistance", "x": "x1:0", "y": "x1:30000"},
+        {"graph": "diamond_chain", "command": "wdistance", "x": "x1:0", "y": "x1:3"},
+    ]
+    code, records = run(tmp_path, capsys, jobs)
+    assert code == 2
+    assert len(records) == 2
+    assert records[0]["result"] == {"verdict": "exhausted"}
+    assert records[0]["status"] == "caveat"
+    assert "budget exhausted" in records[0]["error"]
+    assert records[1]["result"] == {"wdistance": "w*6"}
+
+
+def test_failed_check_suite_is_an_error(tmp_path, capsys, monkeypatch):
+    failing = SuiteReport("metric", "ladder", (CheckResult("symmetry", False, 1),))
+    monkeypatch.setattr(cli, "run_check_suite", lambda *args, **kwargs: failing)
+    jobs = [{"graph": "ladder", "command": "check", "suite": "metric"}]
+    code, records = run(tmp_path, capsys, jobs)
+    assert code == 1
+    assert records[0]["result"]["passed"] is False
+    assert records[0]["status"] == "error"
 
 
 def test_witness_command_on_both_ranks(tmp_path, capsys):

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from nsgraph.ordinal import (OMEGA, ZERO, Comparison, Ordinal, compare,
-                             from_finite, from_omega_multiple, natural_sum,
-                             parse_ordinal, render_ordinal)
+                             natural_sum, parse_ordinal, render_ordinal)
 
 
 def test_construction_validates():
@@ -18,15 +17,13 @@ def test_construction_validates():
         Ordinal(1.5, 0)
     assert Ordinal(0, 0) == ZERO
     assert Ordinal(1, 0) == OMEGA
-    assert from_finite(7) == Ordinal(0, 7)
-    assert from_omega_multiple(3) == Ordinal(3, 0)
 
 
 def test_natural_sum_is_componentwise():
     assert natural_sum(Ordinal(2, 3), Ordinal(1, 4)) == Ordinal(3, 7)
     assert Ordinal(2, 3) + Ordinal(1, 4) == Ordinal(3, 7)
     # the natural sum ignores the order of the summands
-    assert natural_sum(OMEGA, from_finite(1)) == natural_sum(from_finite(1), OMEGA)
+    assert natural_sum(OMEGA, Ordinal(0, 1)) == natural_sum(Ordinal(0, 1), OMEGA)
 
 
 def test_natural_sum_laws_random():
@@ -41,8 +38,8 @@ def test_natural_sum_laws_random():
 
 
 def test_order_is_lexicographic():
-    assert compare(from_finite(100), OMEGA) == Comparison.LESS
-    assert compare(OMEGA, from_finite(100)) == Comparison.GREATER
+    assert compare(Ordinal(0, 100), OMEGA) == Comparison.LESS
+    assert compare(OMEGA, Ordinal(0, 100)) == Comparison.GREATER
     assert compare(Ordinal(2, 0), Ordinal(1, 50)) == Comparison.GREATER
     assert compare(Ordinal(3, 4), Ordinal(3, 4)) == Comparison.EQUAL
     assert Ordinal(1, 2) < Ordinal(1, 3) < Ordinal(2, 0)
@@ -63,7 +60,7 @@ def test_order_total_random():
 
 def test_render_canonical():
     assert render_ordinal(ZERO) == "0"
-    assert render_ordinal(from_finite(5)) == "5"
+    assert render_ordinal(Ordinal(0, 5)) == "5"
     assert render_ordinal(OMEGA) == "w*1"
     assert render_ordinal(Ordinal(3, 4)) == "w*3+4"
     assert render_ordinal(Ordinal(2, 0)) == "w*2"
@@ -87,7 +84,7 @@ def test_parse_rejects_junk():
 
 
 def test_is_finite():
-    assert from_finite(9).is_finite
+    assert Ordinal(0, 9).is_finite
     assert ZERO.is_finite
     assert not OMEGA.is_finite
     assert not Ordinal(1, 3).is_finite

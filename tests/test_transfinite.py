@@ -14,7 +14,7 @@ from nsgraph.oracles import (enumeration_wdistance, oracle_section_distance)
 from nsgraph.ordinal import ZERO, Ordinal, natural_sum
 from nsgraph.sequences import Affine, Constant, Parity, sym_start, sym_value
 from nsgraph.transfinite import (DiamondNode, OneNodeId, RailNode, SectionId,
-                                 SegNode, StarNode, TipId, boundary_one_nodes,
+                                 SegNode, StarNode, boundary_one_nodes,
                                  check_separation_bound, is_boundary,
                                  is_locally_1_finite, make_one_graph,
                                  one_adjacent, promote, wdistance,
@@ -46,30 +46,23 @@ def test_locally_1_finite_probe_agrees_with_flags():
         assert is_locally_1_finite(g) == g.locally_1_finite
 
 
-def test_diamond_one_node_tips():
-    g = make_one_graph("diamond_chain")
-    two = g.one_node(x1(2))
-    assert two.tips == frozenset({TipId(SectionId("chain", 1), "right"),
-                                  TipId(SectionId("chain", 2), "left")})
-    first = g.one_node(x1(0))
-    assert first.tips == frozenset({TipId(SectionId("chain", 0), "left")})
-    assert two.embedded is None
-
-
-def test_ladder_ground_one_node_has_unlistable_tips():
-    g = make_one_graph("ladder_of_endless_paths")
-    ground = g.one_node(OneNodeId("xg"))
-    assert ground.tips is None
-    sections = g.sections_of(OneNodeId("xg"), (-2, 40))
-    assert len(sections) == 41
-    assert all(s.kind == "v" for s, _ in sections)
-
-
-def test_partial_one_nodes_hold_embedded_star_leaves():
-    g = make_one_graph("partial_ladder")
-    node = g.one_node(x1(3))
-    assert node.embedded == StarNode(3)
-    assert len(node.tips) == 2
+def test_incidence_tables_through_derived_lookups():
+    window = (-2, 40)
+    d = make_one_graph("diamond_chain")
+    two = d.sections_of(x1(2), window)
+    assert {inc.section for inc in two} == {SectionId("chain", 1), SectionId("chain", 2)}
+    assert all(inc.embedded is None for inc in two)  # tips only
+    assert [inc.section for inc in d.sections_of(x1(0), window)] == [SectionId("chain", 0)]
+    # the ladder ground is a fan: a tip in every vertical section of the window
+    ground = make_one_graph("ladder_of_endless_paths").sections_of(OneNodeId("xg"), window)
+    assert len(ground) == 41
+    assert all(inc.section.kind == "v" and inc.embedded is None for inc in ground)
+    # a partial-ladder rung holds its star leaf and two horizontal tips
+    rung = make_one_graph("partial_ladder").sections_of(x1(3), window)
+    star = [inc for inc in rung if inc.section.kind == "star"]
+    assert [inc.embedded for inc in star] == [StarNode(3)]
+    tips = [inc for inc in rung if inc.embedded is None]
+    assert {inc.section for inc in tips} == {SectionId("h", 2), SectionId("h", 3)}
 
 
 def test_membership_and_rejection():
@@ -92,8 +85,7 @@ def test_incidence_tables_are_consistent():
         g = make_one_graph(f)
         for section in list(g.sections(6)):
             for inc in g.incidences(section, window):
-                back = g.sections_of(inc.one, window)
-                assert any(s == section for s, _ in back)
+                assert inc in g.sections_of(inc.one, window)
 
 
 def test_section_distance_matches_oracle():
