@@ -46,19 +46,27 @@ def test_locally_1_finite_probe_agrees_with_flags():
         assert is_locally_1_finite(g) == g.locally_1_finite
 
 
-def test_incidence_tables_through_derived_lookups():
-    window = (-2, 40)
-    d = make_one_graph("diamond_chain")
-    two = d.sections_of(x1(2), window)
+def test_diamond_one_node_tips():
+    g = make_one_graph("diamond_chain")
+    two = g.sections_of(x1(2), (-2, 40))
     assert {inc.section for inc in two} == {SectionId("chain", 1), SectionId("chain", 2)}
     assert all(inc.embedded is None for inc in two)  # tips only
-    assert [inc.section for inc in d.sections_of(x1(0), window)] == [SectionId("chain", 0)]
+    first = g.sections_of(x1(0), (-2, 40))
+    assert [inc.section for inc in first] == [SectionId("chain", 0)]
+
+
+def test_ladder_ground_one_node_has_unlistable_tips():
     # the ladder ground is a fan: a tip in every vertical section of the window
-    ground = make_one_graph("ladder_of_endless_paths").sections_of(OneNodeId("xg"), window)
+    g = make_one_graph("ladder_of_endless_paths")
+    ground = g.sections_of(OneNodeId("xg"), (-2, 40))
     assert len(ground) == 41
     assert all(inc.section.kind == "v" and inc.embedded is None for inc in ground)
+
+
+def test_partial_one_nodes_hold_embedded_star_leaves():
     # a partial-ladder rung holds its star leaf and two horizontal tips
-    rung = make_one_graph("partial_ladder").sections_of(x1(3), window)
+    g = make_one_graph("partial_ladder")
+    rung = g.sections_of(x1(3), (-2, 40))
     star = [inc for inc in rung if inc.section.kind == "star"]
     assert [inc.embedded for inc in star] == [StarNode(3)]
     tips = [inc for inc in rung if inc.embedded is None]
