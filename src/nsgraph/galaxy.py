@@ -172,6 +172,8 @@ def closer_than(base: Hypernode, y: Hypernode, z: Hypernode) -> Trivalent:
     require_same_enlargement(y, z)
     if in_principal_galaxy(base).relation is not GalaxyRelation.SAME:
         raise ValueError("the base point must sit in the principal galaxy")
+    if y.term == z.term:
+        return Trivalent.FALSE  # the gap is identically 0
     if y.rank == 0:
         return _unbounded_gap(sym_sub(z.profile.finite, y.profile.finite))
     return _unbounded_gap(sym_sub(z.profile.omega, y.profile.omega))
@@ -390,8 +392,10 @@ def konig_ray_witness(graph: GraphInstance, origin=None,
                       probe: int = 50) -> Hypernode:
     """A presentation walking one shell outward per index: d(step n, origin) = n.
 
-    Greedy shell-following with the least-coordinate tie-break; the resulting
-    point is outside the principal galaxy of any locally finite catalog family.
+    Greedy shell-following with the least-coordinate tie-break; a choice that
+    dead-ends (from p:8 on the one-ended path, the walk down to p:0) is undone.
+    The resulting point is outside the principal galaxy of any locally finite
+    catalog family.
     """
     if not graph.locally_finite:
         raise InapplicableFamilyError(
@@ -400,18 +404,7 @@ def konig_ray_witness(graph: GraphInstance, origin=None,
         origin = graph.anchor()
     graph.require_member(origin)
     steps = [origin]
-    for n in range(probe):
-        best = None
-        for nb in graph.neighbors(steps[-1]):
-            d = graph.distance(origin, nb)
-            if isinstance(d, Exhausted) or d != n + 1:
-                continue
-            if best is None or _node_key(nb) < _node_key(best):
-                best = nb
-        if best is None:
-            raise ChainConstructionError(
-                f"greedy shell following stalled at distance {n}")
-        steps.append(best)
+    _follow_shells(graph, origin, steps, probe + 1)
     ctor = _ctor_of(graph, origin)
     coords = [_node_key(node) for node in steps]
     params = _affine_tail_params(coords, probe)
@@ -433,19 +426,34 @@ def konig_ray_witness(graph: GraphInstance, origin=None,
 
 
 def _ray_extend(graph: GraphInstance, origin, steps: list, n: int) -> tuple:
-    while len(steps) <= n:
-        depth = len(steps) - 1
-        best = None
+    _follow_shells(graph, origin, steps, n + 1)
+    return _node_key(steps[n])
+
+
+def _follow_shells(graph: GraphInstance, origin, steps: list, length: int) -> None:
+    """Grow `steps` to `length` nodes, node n at distance n from the origin.
+
+    Each step takes the least-coordinate neighbour one shell further out; a
+    choice that dead-ends is undone and the next candidate tried.  Nodes
+    already in `steps` are kept.
+    """
+    floor = len(steps)
+    untried: list[list] = []  # per appended step, the candidates left, least last
+    while len(steps) < length:
+        depth = len(steps)
+        shell = []
         for nb in graph.neighbors(steps[-1]):
             d = graph.distance(origin, nb)
-            if not isinstance(d, Exhausted) and d == depth + 1:
-                if best is None or _node_key(nb) < _node_key(best):
-                    best = nb
-        if best is None:
-            raise ChainConstructionError(
-                f"greedy shell following stalled at distance {depth}")
-        steps.append(best)
-    return _node_key(steps[n])
+            if not isinstance(d, Exhausted) and d == depth:
+                shell.append(nb)
+        untried.append(sorted(shell, key=_node_key)[::-1])
+        while not untried[-1]:
+            untried.pop()
+            if len(steps) == floor:
+                raise ChainConstructionError(
+                    f"greedy shell following stalled at distance {floor - 1}")
+            steps.pop()
+        steps.append(untried[-1].pop())
 
 
 def boundary_ray_witness(g: OneGraph, origin: OneNodeId | None = None) -> Hypernode:

@@ -536,6 +536,11 @@ class PerturbedGrid(Grid2D):
                  removed: list[tuple[GridNode, GridNode]]):
         self.added = {frozenset((a, b)) for a, b in added}
         self.removed = {frozenset((a, b)) for a, b in removed}
+        # added branches per endpoint, in the order of the sorted edit set
+        self._added_at: dict[GridNode, list[GridNode]] = {}
+        for pair in sorted(self.added, key=lambda p: sorted(n.sort_key() for n in p)):
+            for node in pair:
+                self._added_at.setdefault(node, []).extend(pair - {node})
         self._validate_edits()
         self.max_shortcut, self.max_detour = self._edit_bounds()
 
@@ -613,10 +618,7 @@ class PerturbedGrid(Grid2D):
         for v in super().neighbors(node):
             if frozenset((node, v)) not in self.removed:
                 yield v
-        for pair in sorted(self.added, key=lambda p: sorted(n.sort_key() for n in p)):
-            if node in pair:
-                (other,) = pair - {node}
-                yield other
+        yield from self._added_at.get(node, ())
 
     def symbolic_distance(self, ta, tb):
         syms = ta.param_syms() + tb.param_syms()

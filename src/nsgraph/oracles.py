@@ -8,6 +8,7 @@ None of it shares code with the lazy implementations it checks.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 
 from .graphs import GridNode, Ground, LadderNode, PathNode, RayNode
 from .ordinal import Ordinal
@@ -183,6 +184,12 @@ _QUOTIENTS = {
 }
 
 
+@lru_cache(maxsize=2)  # the two sizes one oracle call compares
+def _quotient(family: str, size: int):
+    """The family's truncated quotient; shared, so callers never mutate it."""
+    return _QUOTIENTS[family](size)
+
+
 def _section_of(sections: dict, ref):
     for key, adj in sections.items():
         if ref in adj:
@@ -271,9 +278,8 @@ def _enumerate_once(quotient, x, y):
 
 def enumeration_wdistance(family: str, x, y, size: int = 9) -> Ordinal:
     """Walk length by probe-leg enumeration, truncation-stable at two sizes."""
-    build = _QUOTIENTS[family]
-    near = _enumerate_once(build(size), x, y)
-    far = _enumerate_once(build(size + 3), x, y)
+    near = _enumerate_once(_quotient(family, size), x, y)
+    far = _enumerate_once(_quotient(family, size + 3), x, y)
     if near != far:
         raise ValueError(f"size {size} too small to settle wdistance({x!r},{y!r})")
     return Ordinal(*near)
@@ -283,7 +289,7 @@ def oracle_section_distance(family: str, u, v, size: int = 9) -> int:
     """Within-section 0-distance on the explicit truncation, stability-checked."""
     out = []
     for s in (size, size + 4):
-        sections, _ = _QUOTIENTS[family](s)
+        sections, _ = _quotient(family, s)
         key = _section_of(sections, u)
         if v not in sections[key]:
             raise ValueError(f"{u!r} and {v!r} are not in one section")

@@ -6,6 +6,9 @@ extended segment costs w, an endless one w*2, finite segments count branches.
 The search never materialises a walk; it runs a lexicographic Dijkstra over a
 finite quotient (sections as connecting fabric, 1-nodes and promoted
 endpoints as vertices) and returns the length plus a finite leg summary.
+The search keeps only (previous vertex, section) per reached vertex; the
+legs of the summary are built once, on the returned path, from the
+differences of the settled distances.
 
 Each family states its gluing once, as a class-level incidence table
 (`INCIDENCE`).  A row `Touch(one, section, offset)` says that the 1-node of
@@ -18,6 +21,16 @@ kind (the partial ladder's star).  `OneGraph` derives both lookup directions
 from the table, `sections_of(one, window)` and `incidences(section, window)`,
 and fans are cut to the index window; the search and the boundary and
 adjacency predicates read nothing else.
+
+A row may also name the `hub` of its section: a 0-node through which the
+section's metric is a star, d(u, v) = d(u, hub) + d(hub, v) for distinct u
+and v (the partial ladder's star centre).  The search then takes the hub as
+one more vertex instead of relaxing every pair of the section's 1-nodes: a
+1-node enters the hub at d(embedded, hub), and the hub reaches each incident
+1-node, and the target, at d(hub, .).  A fan of W 1-nodes costs O(W) edges
+instead of O(W**2).  The summary folds an intermediate hub stop back into
+one leg, so stops and legs read as if the pairs had been relaxed directly.
+Rows with a hub touch through embedded 0-nodes.
 
 The catalog builds four fixed families:
 
@@ -80,6 +93,7 @@ class Touch(NamedTuple):
     offset: int = 0
     fan: str = ""  # "" | "sections" | "ones"
     embedded: Callable[[int], object] | None = None  # None: a tip
+    hub: object | None = None  # the section's star centre, if its metric is a star
 
 
 class Incidence(NamedTuple):
@@ -265,10 +279,12 @@ class OneGraph:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._BY_ONE, cls._BY_SECTION = {}, {}
+        cls._BY_ONE, cls._BY_SECTION, cls._HUB = {}, {}, {}
         for row in cls.INCIDENCE:
             cls._BY_ONE.setdefault(row.one, []).append(row)
             cls._BY_SECTION.setdefault(row.section, []).append(row)
+            if row.hub is not None:
+                cls._HUB[row.section] = row.hub
 
     # -- membership --
     def contains(self, ref) -> bool:
@@ -345,6 +361,10 @@ class OneGraph:
             if self.two_way or s >= 0:
                 out.append(Incidence(one_id, SectionId(row.section, s), held))
         return out
+
+    def hub(self, section: SectionId):
+        """The section's declared star centre, or None."""
+        return self._HUB.get(section.kind)
 
     def one_node_containing(self, zero_node) -> OneNodeId | None:
         """The 1-node a nonmaximal 0-node is embedded in, if any."""
@@ -449,38 +469,44 @@ def wdistance_witness(g: OneGraph, x, y,
     """Minimum walk length between two nodes, with a finite leg summary.
 
     Nonmaximal 0-node inputs are promoted to their containing 1-node first.
-    The vertex set is the two endpoints plus the 1-nodes inside an index
-    window around them; for the catalog families no shortest walk leaves
-    that window, since crossing extra sections only ever adds tip costs.
+    The vertex set is the two endpoints, the 1-nodes inside an index window
+    around them and the hubs of their sections; for the catalog families no
+    shortest walk leaves that window, since crossing extra sections only
+    ever adds tip costs.
     """
     x, y = promote(g, x), promote(g, y)
     if x == y:
         return ZERO, WalkSummary(ZERO, (x,), ())
     window = _search_window(g, x, y, margin)
+    y_section = None if isinstance(y, OneNodeId) else g.section_of(y)
 
     def edges(ref):
+        """(neighbour, section, lex cost) of each one-section leg out of ref."""
         if isinstance(ref, OneNodeId):
             for inc_self in g.sections_of(ref, window):
                 section = inc_self.section
-                if not isinstance(y, OneNodeId) and g.section_of(y) == section:
-                    cost = _incidence_entry_cost(g, y, inc_self)
-                    yield y, cost, WalkLeg(section, _mechanism(cost), Ordinal(*cost))
+                hub = g.hub(section)
+                if hub is not None:
+                    yield hub, section, (0, g.section_distance(inc_self.embedded, hub))
+                    continue
+                if section == y_section:
+                    yield y, section, _incidence_entry_cost(g, y, inc_self)
                 for inc in g.incidences(section, window):
-                    if inc.one == ref:
-                        continue
-                    cost = _one_to_one_cost(g, inc_self, inc)
-                    yield inc.one, cost, WalkLeg(section, _mechanism(cost), Ordinal(*cost))
-        else:
-            section = g.section_of(ref)
-            if not isinstance(y, OneNodeId) and g.section_of(y) == section and y != ref:
-                cost = (0, g.section_distance(ref, y))
-                yield y, cost, WalkLeg(section, "finite", Ordinal(*cost))
-            for inc in g.incidences(section, window):
-                cost = _incidence_entry_cost(g, ref, inc)
-                yield inc.one, cost, WalkLeg(section, _mechanism(cost), Ordinal(*cost))
+                    if inc.one != ref:
+                        yield inc.one, section, _one_to_one_cost(g, inc_self, inc)
+            return
+        section = g.section_of(ref)
+        if section == y_section and y != ref:
+            yield y, section, (0, g.section_distance(ref, y))
+        hub = g.hub(section)
+        if hub is not None and ref != hub:
+            yield hub, section, (0, g.section_distance(ref, hub))
+            return
+        for inc in g.incidences(section, window):
+            yield inc.one, section, _incidence_entry_cost(g, ref, inc)
 
     dist: dict = {x: (0, 0)}
-    pred: dict = {}
+    pred: dict = {}  # vertex -> (previous vertex, section crossed)
     heap = [(0, 0, x.sort_key(), x)]
     done = set()
     pops = 0
@@ -494,12 +520,12 @@ def wdistance_witness(g: OneGraph, x, y,
             break
         if pops > SEARCH_POP_BUDGET:
             raise UnreachableError("search budget exhausted before reaching the target")
-        for nref, (c1, c0), leg in edges(ref):
+        for nref, section, (c1, c0) in edges(ref):
             cand = (w1 + c1, w0 + c0)
             known = dist.get(nref)
             if known is None or cand < known:
                 dist[nref] = cand
-                pred[nref] = (ref, leg)
+                pred[nref] = (ref, section)
                 heapq.heappush(heap, (cand[0], cand[1], nref.sort_key(), nref))
     if y not in done:
         raise UnreachableError(f"{x!r} and {y!r} are not 1-wconnected within the window")
@@ -507,9 +533,13 @@ def wdistance_witness(g: OneGraph, x, y,
     stops, legs = [y], []
     ref = y
     while ref != x:
-        ref, leg = pred[ref]
-        stops.append(ref)
-        legs.append(leg)
+        prev, section = pred[ref]
+        if prev != x and prev == g.hub(section):
+            prev = pred[prev][0]  # fold the hub stop into one leg
+        cost = (dist[ref][0] - dist[prev][0], dist[ref][1] - dist[prev][1])
+        legs.append(WalkLeg(section, _mechanism(cost), Ordinal(*cost)))
+        stops.append(prev)
+        ref = prev
     return total, WalkSummary(total, tuple(reversed(stops)), tuple(reversed(legs)))
 
 
@@ -875,7 +905,7 @@ class PartialLadderOfEndlessPaths(OneGraph):
     locally_1_finite = False  # the star meets every rung 1-node
     TERM_ARITY = {"h": 2, "zg": 1, "xg": 0, "x1": 1}
     # x1:k holds the star leaf toward x_k and joins h k-1 and h k at tips
-    INCIDENCE = (Touch("x1", "star", fan="ones", embedded=StarNode),
+    INCIDENCE = (Touch("x1", "star", fan="ones", embedded=StarNode, hub=StarNode(None)),
                  Touch("x1", "h", -1), Touch("x1", "h", 0))
 
     def contains_zero(self, node) -> bool:

@@ -119,6 +119,17 @@ def test_failed_check_suite_is_an_error(tmp_path, capsys, monkeypatch):
     assert records[0]["status"] == "error"
 
 
+@pytest.mark.parametrize("family", ["diamond_chain", "one_path_of_endless_paths",
+                                    "perturbed_grid"])
+def test_order_suite_passes_at_seed_zero(tmp_path, capsys, family):
+    # the seed-0 samples hold points whose gap to themselves is opaque
+    jobs = [{"graph": family, "command": "check", "suite": "order"}]
+    code, records = run(tmp_path, capsys, jobs, "--seed", "0")
+    assert code == 0
+    assert records[0]["result"]["passed"] is True
+    assert records[0]["status"] == "ok"
+
+
 def test_witness_command_on_both_ranks(tmp_path, capsys):
     jobs = [{"graph": "grid2d", "command": "witness"},
             {"graph": "diamond_chain", "command": "witness"},

@@ -15,7 +15,7 @@ from nsgraph.galaxy import (ChainConstructionError, GalaxyRelation,
                             build_galaxy_chain, closer_than,
                             in_principal_galaxy, konig_ray_witness,
                             limitedly_distant, verify_partial_order)
-from nsgraph.graphs import GridNode, NodeTerm, make_family
+from nsgraph.graphs import GridNode, NodeTerm, PathNode, make_family
 from nsgraph.kernel import Trivalent
 from nsgraph.ordinal import Ordinal
 from nsgraph.sequences import Affine, Constant, Parity, sym_value
@@ -118,6 +118,12 @@ def test_closer_than_verdict_table():
     assert closer_than(base, aff_far, aff) is Trivalent.FALSE
     assert closer_than(base, aff, fast) is Trivalent.TRUE
     assert closer_than(base, const, par) is Trivalent.FILTER_DEPENDENT
+
+
+def test_closer_than_is_irreflexive_for_an_opaque_gap():
+    dc = make_one_graph("diamond_chain")
+    receding = hyper(dc, "r", Affine(3, 2), Constant(2))
+    assert closer_than(anchor_hypernode(dc), receding, receding) is Trivalent.FALSE
 
 
 def test_closer_than_rejects_an_unlimited_base():
@@ -262,6 +268,15 @@ def test_konig_ray_routes_around_edits():
         GridNode(0, 0), GridNode(-1, 0), GridNode(-2, 0), GridNode(-3, 0)]
     for n in range(0, 30, 7):
         assert pert.distance(GridNode(0, 0), node_at(w, n)) == n
+
+
+def test_konig_ray_backtracks_from_a_non_anchor_origin():
+    # the least-coordinate walk from p:8 runs down into p:0 and dead-ends
+    g = make_family("one_ended_path")
+    origin = PathNode(8)
+    w = konig_ray_witness(g, origin)
+    for n in range(0, 80, 5):
+        assert g.distance(origin, node_at(w, n)) == n
 
 
 def test_konig_ray_needs_local_finiteness():

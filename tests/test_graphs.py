@@ -10,7 +10,7 @@ import random
 import pytest
 
 from nsgraph.graphs import (DEFAULT_BUDGET, EXHAUSTED, EditValidationError,
-                            Exhausted, GridNode, Ground, LadderNode,
+                            Exhausted, Grid2D, GridNode, Ground, LadderNode,
                             NodeTerm, NotAMemberError, PathNode, RayNode,
                             UnsupportedOracleError, bfs_distance,
                             is_finitely_dispersed, make_family, natkey)
@@ -144,6 +144,27 @@ def test_perturbed_grid_matches_oracle_random():
     for i, x in enumerate(nodes):
         for y in nodes[i + 1:]:
             assert g.distance(x, y) == oracle_distance("perturbed_grid", x, y, 25, EDITS)
+
+
+def test_perturbed_neighbors_keep_the_sorted_edit_order():
+    edits = [{"op": "add", "a": (0, 0), "b": (2, 2)},
+             {"op": "add", "a": (0, 0), "b": (-2, 1)},
+             {"op": "add", "a": (3, -1), "b": (0, 0)},
+             {"op": "add", "a": (2, 2), "b": (-1, -2)},
+             {"op": "remove", "a": (0, 0), "b": (0, 1)}]
+    g = make_family("perturbed_grid", edits=edits)
+
+    def edit_set_order(node):
+        # grid neighbours, then added branches in sorted edit-set order
+        out = [v for v in Grid2D().neighbors(node) if frozenset((node, v)) not in g.removed]
+        for pair in sorted(g.added, key=lambda p: sorted(n.sort_key() for n in p)):
+            if node in pair:
+                out.extend(pair - {node})
+        return out
+
+    for node in (GridNode(0, 0), GridNode(2, 2), GridNode(-2, 1), GridNode(3, -1),
+                 GridNode(-1, -2), GridNode(0, 1), GridNode(5, 5)):
+        assert list(g.neighbors(node)) == edit_set_order(node)
 
 
 def test_perturbed_grid_edit_validation():

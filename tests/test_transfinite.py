@@ -187,6 +187,69 @@ def test_wdistance_matches_enumeration_oracle():
             assert got == want, (f, a, b, got, want)
 
 
+def test_partial_ladder_search_matches_enumeration_through_the_hub():
+    g = make_one_graph("partial_ladder")
+    rng = random.Random(41)
+    star = [StarNode(None)] + [StarNode(k) for k in range(6)]
+    ends = star + [x1(k) for k in range(6)] + [RailNode("h", k, rng.randint(-4, 4))
+                                               for k in range(6)]
+    for a in star:
+        for b in ends:
+            want = enumeration_wdistance("partial_ladder", promote(g, a), promote(g, b))
+            assert wdistance(g, a, b) == want, (a, b)
+            assert wdistance(g, b, a) == want, (b, a)
+
+
+def test_declared_hubs_are_star_centres():
+    hubs = 0
+    for f in FAMILIES:
+        g = make_one_graph(f)
+        for row in g.INCIDENCE:
+            if row.hub is None:
+                continue
+            hubs += 1
+            hub = row.hub
+            members = [hub] + [row.embedded(k) for k in range(8)]
+            d = lambda u, v: oracle_section_distance(f, u, v)
+            for u in members:
+                for v in members:
+                    if u != v:
+                        assert d(u, v) == d(u, hub) + d(hub, v), (u, v)
+                        assert g.section_distance(u, v) == d(u, v)
+    assert hubs == 1
+
+
+def test_partial_ladder_search_is_linear_in_the_window(monkeypatch):
+    g = make_one_graph("partial_ladder")
+    listed = []
+    incidences = g.incidences
+
+    def counted(section, window):
+        out = incidences(section, window)
+        listed.append(len(out))
+        return out
+
+    monkeypatch.setattr(g, "incidences", counted)
+    work = {}
+    for k in (100, 200):
+        listed.clear()
+        assert wdistance(g, x1(0), x1(k)) == Ordinal(0, 2)
+        work[k] = sum(listed)
+    assert work[200] <= 2.5 * work[100], work
+
+
+def test_witness_folds_the_hub_into_one_leg():
+    g = make_one_graph("partial_ladder")
+    total, summary = wdistance_witness(g, x1(2), x1(9))
+    assert total == Ordinal(0, 2)
+    assert summary.stops == (x1(2), x1(9))
+    assert [(leg.via, leg.mechanism, leg.cost) for leg in summary.legs] == [
+        (SectionId("star"), "finite", Ordinal(0, 2))]
+    total, summary = wdistance_witness(g, StarNode(None), RailNode("h", 3, 0))
+    assert total == Ordinal(1, 1)
+    assert summary.stops == (StarNode(None), x1(3), RailNode("h", 3, 0))
+
+
 def test_promotion():
     g = make_one_graph("partial_ladder")
     assert promote(g, StarNode(3)) == x1(3)
