@@ -48,6 +48,13 @@ def _operand(job: dict, key: str, required: bool = True):
     return value
 
 
+def _int_operand(value, key: str) -> int:
+    try:
+        return int(value)
+    except TypeError as exc:
+        raise JobError(f"operand {key!r} must be an integer, got {value!r}") from exc
+
+
 def _verdict_record(v) -> dict:
     record = {"relation": v.relation.value}
     record["bound"] = (render_ordinal(v.certified_bound)
@@ -100,7 +107,7 @@ def _cmd_closer(graph, job, opts):
 
 def _cmd_chain(graph, job, opts):
     seed = parse_hypernode(graph, _operand(job, "seed"))
-    depth = int(job.get("m", 3))
+    depth = _int_operand(job.get("m", 3), "m")
     base_text = _operand(job, "base", required=False)
     base = parse_hypernode(graph, base_text) if base_text else None
     chain = build_galaxy_chain(seed, depth, base=base)
@@ -126,9 +133,11 @@ def _cmd_witness(graph, job, opts):
 
 def _cmd_check(graph, job, opts):
     suite = _operand(job, "suite")
+    if not isinstance(suite, str):
+        raise JobError(f"operand 'suite' must be a suite name, got {suite!r}")
     samples = job.get("samples")
     report = run_check_suite(graph, suite, seed=opts["seed"],
-                             samples=int(samples) if samples else None)
+                             samples=_int_operand(samples, "samples") if samples else None)
     results = [{"name": r.name, "passed": r.passed, "checked": r.checked,
                 "detail": r.detail} for r in report.results]
     return ({"suite": report.suite, "passed": report.passed,
@@ -181,6 +190,10 @@ _ECHO_KEYS = ("x", "y", "base", "seed", "m", "suite", "origin", "samples")
 
 def run_job(job: dict, opts: dict) -> tuple[dict, int]:
     """Run one job document; never raises, the record carries the outcome."""
+    if not isinstance(job, dict):
+        return {"command": None, "graph": None, "inputs": {},
+                "status": "error", "wall_time_ms": 0.0,
+                "error": "job document must be a JSON object"}, ERROR
     record = {
         "command": job.get("command"),
         "graph": None,
@@ -198,7 +211,7 @@ def run_job(job: dict, opts: dict) -> tuple[dict, int]:
         local = dict(opts)
         for key in ("budget", "horizon"):
             if key in job:
-                local[key] = int(job[key])
+                local[key] = _int_operand(job[key], key)
         result, code = _BODIES[command](graph, job, local)
         record["result"] = result
         record["status"] = {OK: "ok", CAVEAT: "caveat", ERROR: "error"}[code]
@@ -259,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for every sampling suite (default 0)")
     parser.add_argument("--budget", type=int, default=200_000,
-                        help="node-expansion cap for concrete searches")
+                        help="neighbour reads allowed to a distance job's search")
     parser.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
                         help="index horizon for pointwise evidence sweeps")
     return parser
@@ -279,13 +292,7 @@ def main(argv=None) -> int:
     opts = {"seed": args.seed, "budget": args.budget, "horizon": args.horizon}
     codes = []
     for index, job in enumerate(jobs):
-        if not isinstance(job, dict):
-            record = {"command": None, "graph": None, "inputs": {},
-                      "status": "error", "wall_time_ms": 0.0,
-                      "error": "job document must be a JSON object"}
-            code = ERROR
-        else:
-            record, code = run_job(job, opts)
+        record, code = run_job(job, opts)
         codes.append(code)
         if args.json:
             print(json.dumps(record, sort_keys=True))

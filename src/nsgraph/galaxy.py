@@ -11,13 +11,12 @@ two-way ladder of them.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import Exhausted, GraphInstance, NodeTerm
+from .graphs import Exhausted, GraphInstance, NodeTerm, node_coords
 from .kernel import IndeterminateError, Trivalent
 from .ordinal import Ordinal
 from .sequences import (
@@ -355,12 +354,8 @@ def _compose_maps(outer: Callable[[int], int],
 
 # ====== Constructive witnesses ======
 
-def _node_key(node) -> tuple:
-    return dataclasses.astuple(node)
-
-
 def _ctor_of(graph: GraphInstance, node) -> str:
-    args = _node_key(node)
+    args = node_coords(node)
     for ctor, arity in sorted(graph.TERM_ARITY.items()):
         if arity == len(args) and graph.instantiate_term(ctor, args) == node:
             return ctor
@@ -406,7 +401,7 @@ def konig_ray_witness(graph: GraphInstance, origin=None,
     steps = [origin]
     _follow_shells(graph, origin, steps, probe + 1)
     ctor = _ctor_of(graph, origin)
-    coords = [_node_key(node) for node in steps]
+    coords = [node_coords(node) for node in steps]
     params = _affine_tail_params(coords, probe)
     if params is not None:
         term = NodeTerm(ctor, params)
@@ -427,7 +422,7 @@ def konig_ray_witness(graph: GraphInstance, origin=None,
 
 def _ray_extend(graph: GraphInstance, origin, steps: list, n: int) -> tuple:
     _follow_shells(graph, origin, steps, n + 1)
-    return _node_key(steps[n])
+    return node_coords(steps[n])
 
 
 def _follow_shells(graph: GraphInstance, origin, steps: list, length: int) -> None:
@@ -446,7 +441,7 @@ def _follow_shells(graph: GraphInstance, origin, steps: list, length: int) -> No
             d = graph.distance(origin, nb)
             if not isinstance(d, Exhausted) and d == depth:
                 shell.append(nb)
-        untried.append(sorted(shell, key=_node_key)[::-1])
+        untried.append(sorted(shell, key=node_coords)[::-1])
         while not untried[-1]:
             untried.pop()
             if len(steps) == floor:

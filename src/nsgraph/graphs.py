@@ -10,9 +10,10 @@ reports Exhausted, never a wrong number.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import sequences as sq
 from .kernel import TruthSet, cofinite_set, finite_set, intersect
@@ -87,13 +88,21 @@ class RayNode:
         return ("ray", natkey(self.j))
 
 
-@dataclass(frozen=True)
-class GridNode:
+# A tuple, unlike the ids above: lattice searches build and hash it on every
+# step.  The one-field ids stay dataclasses, so LadderNode(2) != RayNode(2).
+class GridNode(NamedTuple):
     k: int
     l: int
 
     def sort_key(self):
         return ("grid", natkey(self.k), natkey(self.l))
+
+
+def node_coords(node) -> tuple[int, ...]:
+    """A node id's fields, in order: the arguments of its constructor."""
+    if isinstance(node, tuple):
+        return tuple(node)
+    return dataclasses.astuple(node)
 
 
 # ====== Node terms ======
@@ -210,6 +219,9 @@ class _Side:
 
 def bfs_distance(graph: GraphInstance, x, y, budget: int = DEFAULT_BUDGET) -> int | Exhausted:
     """Exact distance or Exhausted.
+
+    One unit of budget is one neighbour read: each node that a side takes
+    from an adjacency stream, seen before or not, spends one unit.
 
     Expands both endpoints a neighbour at a time (round-robin), so infinite
     adjacency streams cannot starve the other side.  A meeting of the two
@@ -484,12 +496,10 @@ class Grid2D(GraphInstance):
     def contains(self, node) -> bool:
         return isinstance(node, GridNode)
 
-    def neighbors(self, node) -> Iterator:
-        k, l = node.k, node.l
-        yield GridNode(k + 1, l)
-        yield GridNode(k - 1, l)
-        yield GridNode(k, l + 1)
-        yield GridNode(k, l - 1)
+    def neighbors(self, node) -> tuple[GridNode, ...]:
+        k, l = node
+        return (GridNode(k + 1, l), GridNode(k - 1, l),
+                GridNode(k, l + 1), GridNode(k, l - 1))
 
     def anchor(self):
         return GridNode(0, 0)
@@ -537,10 +547,14 @@ class PerturbedGrid(Grid2D):
         self.added = {frozenset((a, b)) for a, b in added}
         self.removed = {frozenset((a, b)) for a, b in removed}
         # added branches per endpoint, in the order of the sorted edit set
-        self._added_at: dict[GridNode, list[GridNode]] = {}
+        self._added_at: dict[GridNode, tuple[GridNode, ...]] = {}
         for pair in sorted(self.added, key=lambda p: sorted(n.sort_key() for n in p)):
             for node in pair:
-                self._added_at.setdefault(node, []).extend(pair - {node})
+                self._added_at[node] = self._added_at.get(node, ()) + tuple(pair - {node})
+        self._removed_at: dict[GridNode, set[GridNode]] = {}
+        for pair in self.removed:
+            for node in pair:
+                self._removed_at.setdefault(node, set()).update(pair - {node})
         self._validate_edits()
         self.max_shortcut, self.max_detour = self._edit_bounds()
 
@@ -614,11 +628,13 @@ class PerturbedGrid(Grid2D):
         return shortcut, detour
 
     # -- structure --
-    def neighbors(self, node) -> Iterator:
-        for v in super().neighbors(node):
-            if frozenset((node, v)) not in self.removed:
-                yield v
-        yield from self._added_at.get(node, ())
+    def neighbors(self, node) -> tuple[GridNode, ...]:
+        steps = super().neighbors(node)
+        removed = self._removed_at.get(node)
+        if removed:
+            steps = tuple(v for v in steps if v not in removed)
+        added = self._added_at.get(node)
+        return steps + added if added else steps
 
     def symbolic_distance(self, ta, tb):
         syms = ta.param_syms() + tb.param_syms()
@@ -704,20 +720,26 @@ FAMILIES = {
 }
 
 
+def _is_lattice_point(value) -> bool:
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(type(c) is int for c in value))
+
+
 def make_family(family: str, edits: list[dict] | None = None) -> GraphInstance:
     """Build a catalog family; `edits` applies to perturbed_grid only."""
     cls = FAMILIES.get(family)
     if cls is None:
         raise ValueError(f"unknown family {family!r}")
     if family == "perturbed_grid":
+        if edits is not None and not isinstance(edits, list):
+            raise EditValidationError(f"edits must be a list, got {edits!r}")
         added, removed = [], []
         for edit in edits or []:
+            if not isinstance(edit, dict) or not all(
+                    _is_lattice_point(edit.get(end)) for end in ("a", "b")):
+                raise EditValidationError(f"malformed edit {edit!r}")
             op = edit.get("op")
-            try:
-                a = GridNode(*edit["a"])
-                b = GridNode(*edit["b"])
-            except (KeyError, TypeError) as exc:
-                raise EditValidationError(f"malformed edit {edit!r}") from exc
+            a, b = GridNode(*edit["a"]), GridNode(*edit["b"])
             if op == "add":
                 added.append((a, b))
             elif op == "remove":
@@ -728,20 +750,6 @@ def make_family(family: str, edits: list[dict] | None = None) -> GraphInstance:
     if edits:
         raise ValueError(f"{family} takes no edits")
     return cls()
-
-
-def is_finitely_dispersed(graph: GraphInstance, nodes, k: int,
-                          budget: int = DEFAULT_BUDGET) -> bool | Exhausted:
-    """Sample-level check: all pairwise distances <= k on the given nodes."""
-    nodes = list(nodes)
-    for i, x in enumerate(nodes):
-        for y in nodes[i + 1:]:
-            d = graph.distance(x, y, budget=budget)
-            if isinstance(d, Exhausted):
-                return EXHAUSTED
-            if d > k:
-                return False
-    return True
 
 
 def sort_key(node) -> tuple:

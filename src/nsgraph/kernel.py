@@ -29,20 +29,8 @@ class Trivalent(enum.Enum):
     FILTER_DEPENDENT = "filter-dependent"
 
     @property
-    def is_true(self) -> bool:
-        return self is Trivalent.TRUE
-
-    @property
-    def is_false(self) -> bool:
-        return self is Trivalent.FALSE
-
-    @property
     def is_filter_dependent(self) -> bool:
         return self is Trivalent.FILTER_DEPENDENT
-
-    @staticmethod
-    def from_bool(value: bool) -> "Trivalent":
-        return Trivalent.TRUE if value else Trivalent.FALSE
 
 
 class IndeterminateError(Exception):

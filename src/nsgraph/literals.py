@@ -11,11 +11,10 @@ against the parsed arguments.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 from .graphs import (FAMILIES, GraphInstance, NodeTerm, NotAMemberError,
-                     make_family)
+                     make_family, node_coords)
 from .sequences import Affine, Constant, IndexSequence, Parity
 from .transfinite import ONE_FAMILIES, make_one_graph
 from .ultrapower import Hypernode, make_hypernode
@@ -67,7 +66,7 @@ def graph_label(graph: GraphInstance) -> str | dict:
     removed = getattr(graph, "removed", None)
     if added or removed:
         def ends(edges):
-            return sorted(sorted(dataclasses.astuple(n) for n in e)
+            return sorted(sorted(node_coords(n) for n in e)
                           for e in edges)
 
         edits = [{"op": op, "a": list(a), "b": list(b)}

@@ -47,7 +47,6 @@ are excluded from the presentation: each would be an isolated singleton
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -561,18 +560,6 @@ def boundary_one_nodes(g: OneGraph, horizon: int = 64) -> Iterator[OneNodeId]:
     for one_id in g.one_node_ids(horizon):
         if is_boundary(g, one_id, horizon):
             yield one_id
-
-
-def is_locally_1_finite(g: OneGraph, sample_sections: int = 16,
-                        probe: int = 256) -> bool:
-    """Probe sampled sections for an unbounded fan of boundary 1-nodes."""
-    window = (-probe, probe)
-    for section in itertools.islice(g.sections(sample_sections), sample_sections):
-        incident = {inc.one for inc in g.incidences(section, window)
-                    if is_boundary(g, inc.one)}
-        if len(incident) >= probe:
-            return False
-    return True
 
 
 def one_adjacent(g: OneGraph, a: OneNodeId, b: OneNodeId, horizon: int = 64) -> bool:

@@ -215,3 +215,44 @@ def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+EDITED_GRID = {"family": "perturbed_grid",
+               "edits": [{"op": "add", "a": [-1, -1], "b": [1, 1]},
+                         {"op": "remove", "a": [1, 0], "b": [1, 1]}]}
+
+
+@pytest.mark.parametrize("job", [
+    {"graph": {"family": "perturbed_grid", "edits": "x"}, "command": "distance",
+     "x": "grid:0,0", "y": "grid:1,1"},
+    {"graph": {"family": "perturbed_grid",
+               "edits": [{"op": "add", "a": ["a", 0], "b": [2, 2]}]},
+     "command": "distance", "x": "grid:0,0", "y": "grid:1,1"},
+    {"graph": "grid2d", "command": "check", "suite": ["metric"]},
+    ["distance", "grid2d"],
+    {"graph": "one_ended_path", "command": "chain", "seed": "p:n", "m": [1]},
+    {"graph": "grid2d", "command": "distance", "x": "grid:0,0", "y": "grid:1,1",
+     "budget": None},
+], ids=["edits-not-a-list", "string-coordinate", "suite-not-a-name", "job-not-an-object",
+        "depth-not-a-number", "budget-not-a-number"])
+def test_malformed_documents_yield_one_error_record(job):
+    record, code = cli.run_job(job, {"seed": 0, "budget": 1000, "horizon": 64})
+    assert code == cli.ERROR
+    assert record["status"] == "error" and record["error"]
+
+
+def test_edited_grid_is_echoed_with_its_edits(tmp_path, capsys):
+    job = {"graph": EDITED_GRID, "command": "distance",
+           "x": "grid:-1,-1", "y": "grid:1,1"}
+    code, records = run(tmp_path, capsys, [job])
+    assert code == 0
+    assert records[0]["graph"] == EDITED_GRID
+    assert records[0]["result"] == {"distance": 1}
+
+
+def test_witness_on_an_edited_grid_samples_grid_nodes(tmp_path, capsys):
+    code, records = run(tmp_path, capsys, [{"graph": EDITED_GRID, "command": "witness"}])
+    assert code == 0
+    samples = records[0]["result"]["samples"]
+    assert samples[:2] == ["GridNode(k=0, l=0)", "GridNode(k=-1, l=0)"]
+    assert all(s.startswith("GridNode(k=") for s in samples)

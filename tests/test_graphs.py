@@ -13,7 +13,7 @@ from nsgraph.graphs import (DEFAULT_BUDGET, EXHAUSTED, EditValidationError,
                             Exhausted, Grid2D, GridNode, Ground, LadderNode,
                             NodeTerm, NotAMemberError, PathNode, RayNode,
                             UnsupportedOracleError, bfs_distance,
-                            is_finitely_dispersed, make_family, natkey)
+                            make_family, natkey, node_coords)
 from nsgraph.kernel import Trivalent, verdict
 from nsgraph.oracles import oracle_distance
 from nsgraph.sequences import (Affine, Constant, Parity, classify, sym_value)
@@ -127,6 +127,38 @@ def test_bfs_budget_exhaustion_is_explicit():
     assert out == EXHAUSTED
 
 
+@pytest.mark.parametrize("family, edits, x, y, budget, distance", [
+    ("perturbed_grid", EDITS[1:], GridNode(-15, -15), GridNode(15, 15), 13929, 60),
+    ("perturbed_grid", EDITS[1:], GridNode(1, 0), GridNode(1, 1), 31, 3),
+    ("perturbed_grid", EDITS[1:] + [{"op": "add", "a": (-1, -1), "b": (1, 1)}],
+     GridNode(-3, -3), GridNode(4, 5), 499, 12),
+    ("grid2d", None, GridNode(0, 0), GridNode(3, 4), 201, 7),
+    ("ladder", None, LadderNode(0), LadderNode(9), 7, 2),
+    ("ladder_with_ray", None, RayNode(3), LadderNode(2), 21, 4),
+])
+def test_bfs_budget_unit_is_one_neighbour_read(family, edits, x, y, budget, distance):
+    # B is the least budget that certifies: a cheaper step must read the same neighbours
+    g = make_family(family, edits)
+    assert bfs_distance(g, x, y, budget=budget - 1) is EXHAUSTED
+    assert bfs_distance(g, x, y, budget=budget) == distance
+
+
+def test_one_field_node_ids_stay_distinct():
+    # were ids tuples, RayNode(2) would equal LadderNode(2) and the search
+    # would join the ray to the ladder at distance 0
+    g = make_family("ladder_with_ray")
+    assert RayNode(2) != LadderNode(2)
+    assert bfs_distance(g, RayNode(2), LadderNode(2)) == 3
+
+
+def test_grid_node_hash_and_repr_are_those_of_its_fields():
+    node = GridNode(1, -2)
+    assert hash(node) == hash((1, -2))
+    assert repr(node) == str(node) == "GridNode(k=1, l=-2)"
+    assert node_coords(node) == (1, -2)
+    assert node_coords(RayNode(3)) == (3,) and node_coords(Ground()) == ()
+
+
 # -- perturbed grid --
 
 def test_perturbed_grid_frozen_constants():
@@ -174,6 +206,11 @@ def test_perturbed_grid_edit_validation():
         make_family("perturbed_grid", edits=[{"op": "add", "a": (0, 0), "b": (0, 1)}])
     with pytest.raises(EditValidationError):
         make_family("perturbed_grid", edits=[{"op": "nudge", "a": (0, 0), "b": (2, 2)}])
+    # malformed documents are refused before any node is built
+    for edits in ("x", {"op": "add"}, ["x"], [{"op": "add", "a": ("a", 0), "b": (2, 2)}],
+                  [{"op": "add", "a": (0, 0, 1), "b": (2, 2)}], [{"op": "add", "a": (0, 0)}]):
+        with pytest.raises(EditValidationError):
+            make_family("perturbed_grid", edits=edits)
     # sealing a node off entirely must be refused
     seal = [{"op": "remove", "a": (0, 0), "b": (d[0], d[1])}
             for d in ((1, 0), (-1, 0), (0, 1), (0, -1))]
@@ -272,6 +309,20 @@ def test_adjacency_truthset_perturbed_respects_edits():
         NodeTerm("grid", (Affine(1, 0), Constant(0))),
         NodeTerm("grid", (Affine(1, 1), Constant(0))))
     assert verdict(moving) == Trivalent.TRUE
+
+
+def is_finitely_dispersed(graph, nodes, k: int,
+                          budget: int = DEFAULT_BUDGET) -> bool | Exhausted:
+    """Sample-level check: all pairwise distances <= k on the given nodes."""
+    nodes = list(nodes)
+    for i, x in enumerate(nodes):
+        for y in nodes[i + 1:]:
+            d = graph.distance(x, y, budget=budget)
+            if isinstance(d, Exhausted):
+                return EXHAUSTED
+            if d > k:
+                return False
+    return True
 
 
 def test_finitely_dispersed():

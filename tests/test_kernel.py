@@ -13,7 +13,7 @@ def test_verdicts():
     assert verdict(cofinite_set()) == Trivalent.TRUE
     assert verdict(finite_set()) == Trivalent.FALSE
     assert verdict(parity_split()) == Trivalent.FILTER_DEPENDENT
-    assert Trivalent.TRUE.is_true and not Trivalent.TRUE.is_false
+    assert verdict(finite_set()) != Trivalent.TRUE
     assert Trivalent.FILTER_DEPENDENT.is_filter_dependent
 
 

@@ -5,6 +5,7 @@ with the probe-leg enumeration oracle before being written down here, and
 seeded random sweeps comparing the lazy search against that oracle.
 """
 
+import itertools
 import random
 
 import pytest
@@ -16,9 +17,8 @@ from nsgraph.sequences import Affine, Constant, Parity, sym_start, sym_value
 from nsgraph.transfinite import (DiamondNode, OneNodeId, RailNode, SectionId,
                                  SegNode, StarNode, boundary_one_nodes,
                                  check_separation_bound, is_boundary,
-                                 is_locally_1_finite, make_one_graph,
-                                 one_adjacent, promote, wdistance,
-                                 wdistance_witness)
+                                 make_one_graph, one_adjacent, promote,
+                                 wdistance, wdistance_witness)
 
 FAMILIES = ("diamond_chain", "one_path_of_endless_paths",
             "ladder_of_endless_paths", "partial_ladder")
@@ -38,6 +38,17 @@ def test_family_flags():
     for f in FAMILIES:
         g = make_one_graph(f)
         assert g.one_wconnected and g.infinitely_many_boundary
+
+
+def is_locally_1_finite(g, sample_sections: int = 16, probe: int = 256) -> bool:
+    """Probe sampled sections for an unbounded fan of boundary 1-nodes."""
+    window = (-probe, probe)
+    for section in itertools.islice(g.sections(sample_sections), sample_sections):
+        incident = {inc.one for inc in g.incidences(section, window)
+                    if is_boundary(g, inc.one)}
+        if len(incident) >= probe:
+            return False
+    return True
 
 
 def test_locally_1_finite_probe_agrees_with_flags():
