@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import Exhausted, GraphInstance, NodeTerm, node_coords
+from .graphs import GraphInstance, NodeTerm, node_coords
 from .kernel import IndeterminateError, Trivalent
 from .ordinal import Ordinal
 from .sequences import (
@@ -399,7 +399,8 @@ def konig_ray_witness(graph: GraphInstance, origin=None,
         origin = graph.anchor()
     graph.require_member(origin)
     steps = [origin]
-    _follow_shells(graph, origin, steps, probe + 1)
+    on_shell = _shell_test(graph, origin)
+    _follow_shells(graph, on_shell, steps, probe + 1)
     ctor = _ctor_of(graph, origin)
     coords = [node_coords(node) for node in steps]
     params = _affine_tail_params(coords, probe)
@@ -409,7 +410,7 @@ def konig_ray_witness(graph: GraphInstance, origin=None,
             params = None
     if params is None:
         def coord_fn(i: int) -> Callable[[int], int]:
-            return lambda n: _ray_extend(graph, origin, steps, n)[i]
+            return lambda n: _ray_extend(graph, on_shell, steps, n)[i]
 
         term = NodeTerm(ctor, tuple(
             Explicit(coord_fn(i), label="greedy-ray") for i in range(len(coords[0]))))
@@ -420,12 +421,41 @@ def konig_ray_witness(graph: GraphInstance, origin=None,
     return witness
 
 
-def _ray_extend(graph: GraphInstance, origin, steps: list, n: int) -> tuple:
-    _follow_shells(graph, origin, steps, n + 1)
+def _ray_extend(graph: GraphInstance, on_shell: Callable[[object, int], bool],
+                steps: list, n: int) -> tuple:
+    _follow_shells(graph, on_shell, steps, n + 1)
     return node_coords(steps[n])
 
 
-def _follow_shells(graph: GraphInstance, origin, steps: list, length: int) -> None:
+def _shell_test(graph: GraphInstance, origin) -> Callable[[object, int], bool]:
+    """(node, n) -> whether d(origin, node) == n.
+
+    A family with a closed form answers each query directly.  Any other
+    reads one BFS ball around the origin, grown a layer at a time as the
+    walk needs it, in place of one search per query.
+    """
+    if graph.has_closed_form:
+        return lambda node, n: graph.distance(origin, node) == n
+    depth, layer, radius = {origin: 0}, [origin], 0
+
+    def on_shell(node, n: int) -> bool:
+        nonlocal layer, radius
+        while radius < n and layer:
+            radius += 1
+            outer = []
+            for u in layer:
+                for v in graph.neighbors(u):
+                    if v not in depth:
+                        depth[v] = radius
+                        outer.append(v)
+            layer = outer
+        return depth.get(node) == n
+
+    return on_shell
+
+
+def _follow_shells(graph: GraphInstance, on_shell: Callable[[object, int], bool],
+                   steps: list, length: int) -> None:
     """Grow `steps` to `length` nodes, node n at distance n from the origin.
 
     Each step takes the least-coordinate neighbour one shell further out; a
@@ -436,11 +466,7 @@ def _follow_shells(graph: GraphInstance, origin, steps: list, length: int) -> No
     untried: list[list] = []  # per appended step, the candidates left, least last
     while len(steps) < length:
         depth = len(steps)
-        shell = []
-        for nb in graph.neighbors(steps[-1]):
-            d = graph.distance(origin, nb)
-            if not isinstance(d, Exhausted) and d == depth:
-                shell.append(nb)
+        shell = [nb for nb in graph.neighbors(steps[-1]) if on_shell(nb, depth)]
         untried.append(sorted(shell, key=node_coords)[::-1])
         while not untried[-1]:
             untried.pop()

@@ -3,12 +3,18 @@
 A 1-graph glues infinite extremities (tips) of ordinary graph sections into
 1-nodes.  Distances count walk lengths as ordinals below w**2: a one-ended
 extended segment costs w, an endless one w*2, finite segments count branches.
-The search never materialises a walk; it runs a lexicographic Dijkstra over a
-finite quotient (sections as connecting fabric, 1-nodes and promoted
-endpoints as vertices) and returns the length plus a finite leg summary.
-The search keeps only (previous vertex, section) per reached vertex; the
-legs of the summary are built once, on the returned path, from the
-differences of the settled distances.
+
+`wdistance` answers from each family's exact closed form first: two 0-nodes
+of one section sit at their in-section distance, and any other pair reads
+the family's `symbolic_wdistance` of the two constant terms naming it.
+Only a pair without an exact form falls back to the search.  The search,
+`wdistance_witness`, is the one source of walk legs and the oracle the
+closed forms are tested against.  It never materialises a walk; it runs a
+lexicographic Dijkstra over a finite quotient (sections as connecting
+fabric, 1-nodes and promoted endpoints as vertices) and returns the length
+plus a finite leg summary.  The search keeps only (previous vertex,
+section) per reached vertex; the legs of the summary are built once, on the
+returned path, from the differences of the settled distances.
 
 Each family states its gluing once, as a class-level incidence table
 (`INCIDENCE`).  A row `Touch(one, section, offset)` says that the 1-node of
@@ -53,7 +59,7 @@ from typing import Callable, Iterator, NamedTuple
 from .graphs import (NodeTerm, NotAMemberError, UnreachableError, natkey)
 from .kernel import TruthSet, cofinite_set, finite_set, intersect
 from .ordinal import ZERO, Ordinal
-from .sequences import (Aff, Constant, Opaque, ParityS, SymInt, bump_start,
+from .sequences import (Aff, Constant, Opaque, Parity, ParityS, SymInt, bump_start,
                         classify, eq_const_truthset, eq_truthset, parity_sym,
                         sym_abs, sym_add, sym_scale, sym_start, sym_sub,
                         sym_value, zone_by_magnitude)
@@ -263,6 +269,39 @@ def _step_adjacency(same: TruthSet | None, ta: NodeTerm, tb: NodeTerm) -> TruthS
     return intersect(step, same) if step is not None else None
 
 
+def _sym_min(forms: list[SymInt | None]) -> SymInt | None:
+    """Indexwise minimum of eventually constant forms, parity branch by branch."""
+    if len(forms) == 1:
+        return forms[0]
+    if any(f is None for f in forms):
+        return None
+    if any(isinstance(f, ParityS) for f in forms):
+        even = _sym_min([f.even if isinstance(f, ParityS) else f for f in forms])
+        odd = _sym_min([f.odd if isinstance(f, ParityS) else f for f in forms])
+        return None if even is None or odd is None else parity_sym(even, odd)
+    classes = [classify(f) for f in forms]
+    if all(c.kind == "range" and c.exact for c in classes):
+        return Aff(0, min(c.lo for c in classes), max(sym_start(f) for f in forms))
+    return None
+
+
+def _by_parity(form: Callable[[NodeTerm, NodeTerm], tuple[SymInt, SymInt] | None],
+               ta: NodeTerm, tb: NodeTerm) -> tuple[SymInt, SymInt] | None:
+    """form(ta, tb) taken on each parity branch of the terms' Parity parameters."""
+    if not any(isinstance(p, Parity) for p in ta.params + tb.params):
+        return None
+
+    def branch(term: NodeTerm, side: str) -> NodeTerm:
+        return NodeTerm(term.ctor, tuple(getattr(p, side) if isinstance(p, Parity) else p
+                                         for p in term.params))
+
+    even = form(branch(ta, "even"), branch(tb, "even"))
+    odd = form(branch(ta, "odd"), branch(tb, "odd"))
+    if even is None or odd is None:
+        return None
+    return parity_sym(even[0], odd[0]), parity_sym(even[1], odd[1])
+
+
 # ====== Base class ======
 
 class OneGraph:
@@ -374,8 +413,7 @@ class OneGraph:
 
     def anchor_term(self) -> NodeTerm:
         """The anchor 1-node as a constant node term."""
-        one = self.anchor_one()
-        return NodeTerm(one.kind, (Constant(one.index),) if self.TERM_ARITY[one.kind] else ())
+        return self.node_term(self.anchor_one())
 
     # -- indices, used for search windows --
     def ref_indices(self, ref) -> list[int]:
@@ -386,6 +424,15 @@ class OneGraph:
 
     def instantiate_term(self, ctor: str, args: tuple[int, ...]):
         raise NotImplementedError
+
+    def node_term(self, ref) -> NodeTerm:
+        """The constant term that instantiates to ref: `instantiate_term` inverted.
+
+        The base class names 1-nodes; each family names its own 0-nodes.
+        """
+        if not isinstance(ref, OneNodeId):
+            raise NotImplementedError
+        return NodeTerm(ref.kind, (Constant(ref.index),) if self.TERM_ARITY[ref.kind] else ())
 
     def normalize_term(self, term: NodeTerm) -> NodeTerm:
         """Rewrite to the canonical constructor for the same nodes."""
@@ -543,6 +590,26 @@ def wdistance_witness(g: OneGraph, x, y,
 
 
 def wdistance(g: OneGraph, x, y, margin: int = DEFAULT_WINDOW_MARGIN) -> Ordinal:
+    """Minimum walk length between two nodes, from the exact closed form first.
+
+    Two 0-nodes of one section sit at their in-section distance: no 1-node
+    kind is embedded in more than one section, so a walk that leaves the
+    section crosses a tip and costs at least w.  Any other pair reads the
+    family's `symbolic_wdistance` of the two constant terms; for constant
+    terms an exact eventual value is the value itself.  A pair without an
+    exact form falls back to the search, `wdistance_witness`.
+    """
+    x, y = promote(g, x), promote(g, y)
+    if x == y:
+        return ZERO
+    if not isinstance(x, OneNodeId) and not isinstance(y, OneNodeId) \
+            and g.section_of(x) == g.section_of(y):
+        return Ordinal(0, g.section_distance(x, y))
+    pair = g.symbolic_wdistance(g.node_term(x), g.node_term(y))
+    if pair is not None:
+        omega, finite = classify(pair[0]), classify(pair[1])
+        if omega.kind == finite.kind == "range" and omega.exact and finite.exact:
+            return Ordinal(omega.lo, finite.lo)
     total, _ = wdistance_witness(g, x, y, margin)
     return total
 
@@ -641,6 +708,11 @@ class DiamondChain(OneGraph):
         if ctor in ("j", "l", "r"):
             return DiamondNode(ctor, args[0], args[1])
         raise NotAMemberError(f"unknown constructor {ctor!r} for {self.family}")
+
+    def node_term(self, ref):
+        if isinstance(ref, OneNodeId):
+            return super().node_term(ref)
+        return NodeTerm(ref.side, (Constant(ref.chain), Constant(ref.depth)))
 
     def normalize_term(self, term):
         if term.ctor == "x0":
@@ -757,6 +829,11 @@ class OnePathOfEndlessPaths(OneGraph):
             return SegNode(args[0], args[1])
         raise NotAMemberError(f"unknown constructor {ctor!r} for {self.family}")
 
+    def node_term(self, ref):
+        if isinstance(ref, OneNodeId):
+            return super().node_term(ref)
+        return NodeTerm("e", (Constant(ref.seg), Constant(ref.pos)))
+
     def symbolic_wdistance(self, ta, tb):
         if "x1" in (ta.ctor, tb.ctor):
             return _series_one_sym(ta, tb)
@@ -831,35 +908,50 @@ class LadderOfEndlessPaths(OneGraph):
             return RailNode(ctor, args[0], args[1])
         raise NotAMemberError(f"unknown constructor {ctor!r} for {self.family}")
 
-    # worst-case omega coefficients per endpoint sort; every value is uniformly
-    # bounded, which is all the single-1-galaxy claims need
-    _OMEGA_CAP = {("one", "one"): 4, ("one", "zero"): 5, ("zero", "zero"): 6}
+    def node_term(self, ref):
+        if isinstance(ref, OneNodeId):
+            return super().node_term(ref)
+        return NodeTerm(ref.rail, (Constant(ref.index), Constant(ref.pos)))
+
+    @staticmethod
+    def _tips(ctor: str, syms: tuple[SymInt, ...]) -> list:
+        """Indices of the 1-nodes a term's walks leave through; None is xg.
+
+        A 1-node is its own tip; section v k ends in x1:k and xg, h k in
+        x1:k and x1:k+1.
+        """
+        if ctor == "xg":
+            return [None]
+        if ctor == "x1":
+            return [syms[0]]
+        return [syms[0], None] if ctor == "v" else [syms[0], sym_add(syms[0], Aff(0, 1))]
+
+    @staticmethod
+    def _tip_gap(i: SymInt | None, j: SymInt | None) -> SymInt | None:
+        """Omega coefficient between two 1-nodes: along h sections, or via xg."""
+        if i is None or j is None:
+            return Aff(0, 0 if i is j else 2)
+        return zone_by_magnitude(sym_sub(i, j), (0, 2, 4))
 
     def symbolic_wdistance(self, ta, tb):
-        sort_a = "one" if ta.ctor in ("x1", "xg") else "zero"
-        sort_b = "one" if tb.ctor in ("x1", "xg") else "zero"
-        start = max([0] + [sym_start(s) for s in ta.param_syms() + tb.param_syms()])
-        if ta.ctor == "xg" and tb.ctor == "xg":
-            return _pair_const(0, 0, start)
-        if sort_a == "one" and sort_b == "one":
-            if "xg" in (ta.ctor, tb.ctor):
-                other = tb if ta.ctor == "xg" else ta
-                # xg to any rung 1-node crosses one vertical section
-                return Aff(0, 2, max(start, sym_start(other.param_syms()[0]))), Aff(0, 0, start)
-            delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-            omega = zone_by_magnitude(delta, (0, 2, 4))
-            if omega is not None:
-                return omega, Aff(0, 0, start)
-        cap = self._OMEGA_CAP[tuple(sorted((sort_a, sort_b)))]
-        fn_pair = self.term_wdistance_fn(ta, tb)
-        omega = Opaque(lambda n: fn_pair(n).omega_coeff, lo=0, hi=cap, start=start)
-        if sort_a != "zero" or sort_b != "zero":
-            return omega, Aff(0, 0, start)
-        pair = _by_section(_same_kind_section(ta, tb), start,
-                           lambda: _position_gap(ta, tb),
-                           lambda start: (omega, Aff(0, 0, start)))
-        return pair or (omega, Opaque(lambda n: fn_pair(n).finite_part, lo=0,
-                                      hi=None, start=start))
+        syms_a, syms_b = ta.param_syms(), tb.param_syms()
+        start = max([0] + [sym_start(s) for s in syms_a + syms_b])
+        # each 0-node endpoint pays w to reach a tip of its section
+        ends = (ta.ctor in ("v", "h")) + (tb.ctor in ("v", "h"))
+        gap = _sym_min([self._tip_gap(i, j) for i in self._tips(ta.ctor, syms_a)
+                        for j in self._tips(tb.ctor, syms_b)])
+        if gap is None:
+            return None
+        omega = sym_add(gap, Aff(0, ends)) if ends else gap
+
+        def cross(start: int) -> tuple[SymInt, SymInt]:
+            return bump_start(omega, start), Aff(0, 0, start)
+
+        if ends < 2:
+            return cross(start)
+        return (_by_section(_same_kind_section(ta, tb), start,
+                            lambda: _position_gap(ta, tb), cross)
+                or _by_parity(self.symbolic_wdistance, ta, tb))
 
     def adjacency_truthset(self, ta, tb):
         if "x1" in (ta.ctor, tb.ctor) or "xg" in (ta.ctor, tb.ctor):
@@ -942,6 +1034,13 @@ class PartialLadderOfEndlessPaths(OneGraph):
             return RailNode("h", args[0], args[1])
         raise NotAMemberError(f"unknown constructor {ctor!r} for {self.family}")
 
+    def node_term(self, ref):
+        if isinstance(ref, OneNodeId):
+            return super().node_term(ref)
+        if isinstance(ref, StarNode):
+            return NodeTerm("xg", ()) if ref.leaf is None else NodeTerm("zg", (Constant(ref.leaf),))
+        return NodeTerm("h", (Constant(ref.index), Constant(ref.pos)))
+
     def promote_term(self, term):
         # a star leaf is embedded in its rung 1-node; distances promote it
         if term.ctor == "zg":
@@ -970,9 +1069,8 @@ class PartialLadderOfEndlessPaths(OneGraph):
         if tb.ctor == "x1":
             k, m = ta.param_syms()[0], tb.param_syms()[0]
             # nearest 1-node of section h_k is x1_k or x1_{k+1}
-            near = sym_abs(sym_sub(m, k))
-            near2 = sym_abs(sym_sub(m, sym_add(k, Aff(0, 1))))
-            fin = self._zone_min(near, near2, (0, 2, 2))
+            fin = _sym_min([zone_by_magnitude(sym_sub(m, k), (0, 2, 2)),
+                            zone_by_magnitude(sym_sub(m, sym_add(k, Aff(0, 1))), (0, 2, 2))])
             if fin is None:
                 return None
             return Aff(0, 1, start), fin
@@ -984,17 +1082,6 @@ class PartialLadderOfEndlessPaths(OneGraph):
     def _cross_rails(delta: SymInt, start: int) -> tuple[SymInt, SymInt] | None:
         fin = zone_by_magnitude(delta, (0, 0, 2))
         return None if fin is None else (Aff(0, 2, start), fin)
-
-    @staticmethod
-    def _zone_min(mag_a: SymInt, mag_b: SymInt, images) -> SymInt | None:
-        za = zone_by_magnitude(mag_a, images)
-        zb = zone_by_magnitude(mag_b, images)
-        if za is None or zb is None:
-            return None
-        ca, cb = classify(za), classify(zb)
-        if ca.kind == "range" and ca.exact and cb.kind == "range" and cb.exact:
-            return Aff(0, min(ca.lo, cb.lo), max(sym_start(za), sym_start(zb)))
-        return None
 
     def adjacency_truthset(self, ta, tb):
         # promotion preserves branch verdicts: a star leaf only touches the

@@ -282,7 +282,7 @@ def compare_hyperordinals(a: Hyperordinal, b: Hyperordinal,
             # past both settle points the claim is pointwise; check it there
             probe = max(s_omega, s_finite, horizon)
             hits = [compare(a.at(n), b.at(n)) for n in (probe, probe + 1)]
-            if all(c is not _POINTWISE[verdict] for c in hits):
+            if any(c is not _POINTWISE[verdict] for c in hits):
                 raise EvidenceError(
                     f"claimed {verdict.value} but settled samples disagree: {hits}")
     return verdict

@@ -43,7 +43,10 @@ def test_walk_oracle_suite():
         rep = run_check_suite(parse_graph(descriptor), "walk-oracle",
                               samples=20)
         assert rep.passed, (descriptor, rep)
-        assert rep.results[0].checked == 20
+        assert all(r.checked == 20 for r in rep.results)
+    rank1 = run_check_suite(parse_graph("ladder_of_endless_paths"), "walk-oracle", samples=5)
+    assert [r.name for r in rank1.results] == ["wdistance equals bounded enumeration",
+                                               "quotient search equals bounded enumeration"]
 
 
 def test_kernel_suite():

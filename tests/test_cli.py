@@ -7,6 +7,8 @@ import pytest
 from nsgraph import cli
 from nsgraph.checks import CheckResult, SuiteReport
 from nsgraph.cli import main
+from nsgraph.graphs import UnreachableError
+from nsgraph.transfinite import OneNodeId, make_one_graph, wdistance, wdistance_witness
 
 LADDER_CLASSIFY = {"graph": "ladder", "command": "classify",
                    "x": "const lad:5", "y": "affine lad:n"}
@@ -95,7 +97,14 @@ def test_budget_exhaustion_is_a_caveat(tmp_path, capsys):
     assert records[1]["result"] == {"distance": 15}
 
 
-def test_search_exhaustion_is_a_caveat_and_the_batch_goes_on(tmp_path, capsys):
+def test_search_exhaustion_is_a_caveat_and_the_batch_goes_on(tmp_path, capsys, monkeypatch):
+    # every catalog pair has a closed form, so the search is made to run out here
+    def exhausting(graph, x, y):
+        if y == OneNodeId("x1", 30000):
+            raise UnreachableError("search budget exhausted before reaching the target")
+        return wdistance(graph, x, y)
+
+    monkeypatch.setattr(cli, "wdistance", exhausting)
     jobs = [
         {"graph": "diamond_chain", "command": "wdistance", "x": "x1:0", "y": "x1:30000"},
         {"graph": "diamond_chain", "command": "wdistance", "x": "x1:0", "y": "x1:3"},
@@ -107,6 +116,20 @@ def test_search_exhaustion_is_a_caveat_and_the_batch_goes_on(tmp_path, capsys):
     assert records[0]["status"] == "caveat"
     assert "budget exhausted" in records[0]["error"]
     assert records[1]["result"] == {"wdistance": "w*6"}
+
+
+def test_far_rank1_pair_answers_from_its_closed_form(tmp_path, capsys):
+    jobs = [{"graph": "diamond_chain", "command": "wdistance", "x": "x1:0", "y": "x1:30000"}]
+    code, records = run(tmp_path, capsys, jobs)
+    assert code == 0
+    assert records[0]["result"] == {"wdistance": "w*60000"}
+    assert records[0]["status"] == "ok"
+
+
+def test_far_rank1_pair_still_exhausts_the_search():
+    g = make_one_graph("diamond_chain")
+    with pytest.raises(UnreachableError, match="budget exhausted"):
+        wdistance_witness(g, OneNodeId("x1", 0), OneNodeId("x1", 30000))
 
 
 def test_failed_check_suite_is_an_error(tmp_path, capsys, monkeypatch):

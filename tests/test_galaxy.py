@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from nsgraph import graphs
 from nsgraph.galaxy import (ChainConstructionError, GalaxyRelation,
                             GalaxyVerdict, InapplicableFamilyError,
                             anchor_hypernode, boundary_ray_witness,
@@ -268,6 +269,25 @@ def test_konig_ray_routes_around_edits():
         GridNode(0, 0), GridNode(-1, 0), GridNode(-2, 0), GridNode(-3, 0)]
     for n in range(0, 30, 7):
         assert pert.distance(GridNode(0, 0), node_at(w, n)) == n
+
+
+def test_konig_ray_reads_shells_from_one_ball(monkeypatch):
+    searches = []
+    search = graphs.bfs_distance
+
+    def counted(*args, **kwargs):
+        searches.append(args[1:3])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "bfs_distance", counted)
+    pert = make_family("perturbed_grid", edits=[
+        {"op": "add", "a": [-1, -1], "b": [1, 1]},
+        {"op": "remove", "a": [1, 0], "b": [1, 1]},
+    ])
+    w = konig_ray_witness(pert)
+    assert len(searches) == 8  # the final exact-shell check, n = 0, 7, ..., 49
+    for n in range(0, 60, 11):
+        assert search(pert, pert.anchor(), node_at(w, n)) == n
 
 
 def test_konig_ray_backtracks_from_a_non_anchor_origin():

@@ -5,11 +5,15 @@ with the probe-leg enumeration oracle before being written down here, and
 seeded random sweeps comparing the lazy search against that oracle.
 """
 
+import collections
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nsgraph import transfinite
 from nsgraph.graphs import NodeTerm, NotAMemberError
 from nsgraph.oracles import (enumeration_wdistance, oracle_section_distance)
 from nsgraph.ordinal import ZERO, Ordinal, natural_sum
@@ -107,6 +111,14 @@ def test_incidence_tables_are_consistent():
                 assert inc in g.sections_of(inc.one, window)
 
 
+def test_no_one_node_kind_is_embedded_in_two_sections():
+    # the premise of wdistance's same-section rule: leaving a section costs a tip
+    for f in FAMILIES:
+        rows = make_one_graph(f).INCIDENCE
+        embedded = collections.Counter(r.one for r in rows if r.embedded is not None)
+        assert all(count <= 1 for count in embedded.values()), (f, embedded)
+
+
 def test_section_distance_matches_oracle():
     rng = random.Random(12)
     g = make_one_graph("diamond_chain")
@@ -193,9 +205,62 @@ def test_wdistance_matches_enumeration_oracle():
         g = make_one_graph(f)
         for _ in range(35):
             a, b = g.sample_maximal_nodes(rng, 2, span=5)
-            got = wdistance(g, a, b)
             want = enumeration_wdistance(f, promote(g, a), promote(g, b))
-            assert got == want, (f, a, b, got, want)
+            assert wdistance(g, a, b) == want, (f, a, b, want)
+            assert wdistance_witness(g, a, b)[0] == want, (f, a, b, want)
+
+
+def _catalog_nodes(family):
+    """Nodes of the family with indices up to 300, promoted or not."""
+    index, pos = st.integers(0, 300), st.integers(-20, 20)
+    ones = index.map(x1)
+    if family == "diamond_chain":
+        return ones | st.builds(DiamondNode, st.sampled_from("jlr"), index, st.integers(0, 20))
+    if family == "one_path_of_endless_paths":
+        return st.integers(-300, 300).map(x1) | st.builds(SegNode, st.integers(-300, 300), pos)
+    if family == "ladder_of_endless_paths":
+        return (st.just(OneNodeId("xg")) | ones
+                | st.builds(RailNode, st.sampled_from("vh"), index, pos))
+    return (st.just(StarNode(None)) | st.builds(StarNode, index) | ones
+            | st.builds(RailNode, st.just("h"), index, pos))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_closed_form_equals_the_search(family, data):
+    g = make_one_graph(family)
+    a, b = data.draw(_catalog_nodes(family)), data.draw(_catalog_nodes(family))
+    assert wdistance(g, a, b) == wdistance_witness(g, a, b)[0]
+    assert wdistance(g, b, a) == wdistance_witness(g, b, a)[0]
+
+
+def test_wdistance_answers_catalog_pairs_without_the_search(monkeypatch):
+    search = transfinite.wdistance_witness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wdistance ran the quotient search")
+
+    monkeypatch.setattr(transfinite, "wdistance_witness", refuse)
+    rng = random.Random(23)
+    for f in FAMILIES:
+        g = make_one_graph(f)
+        for span in (2, 6, 40):
+            for _ in range(40):
+                a, b = g.sample_maximal_nodes(rng, 2, span=span)
+                assert wdistance(g, a, b) == search(g, a, b)[0], (f, a, b)
+
+
+def test_node_term_inverts_instantiate_term():
+    rng = random.Random(3)
+    extra = {"diamond_chain": [DiamondNode("j", 4, 0)],
+             "partial_ladder": [StarNode(None), StarNode(5)]}
+    for f in FAMILIES:
+        g = make_one_graph(f)
+        for node in g.sample_maximal_nodes(rng, 30) + extra.get(f, []) + [g.anchor_one()]:
+            term = g.node_term(node)
+            assert all(isinstance(p, Constant) for p in term.params), term
+            assert g.term_node(term, 0) == node and g.term_node(term, 9) == node
 
 
 def test_partial_ladder_search_matches_enumeration_through_the_hub():
@@ -207,8 +272,9 @@ def test_partial_ladder_search_matches_enumeration_through_the_hub():
     for a in star:
         for b in ends:
             want = enumeration_wdistance("partial_ladder", promote(g, a), promote(g, b))
+            assert wdistance_witness(g, a, b)[0] == want, (a, b)
+            assert wdistance_witness(g, b, a)[0] == want, (b, a)
             assert wdistance(g, a, b) == want, (a, b)
-            assert wdistance(g, b, a) == want, (b, a)
 
 
 def test_declared_hubs_are_star_centres():
@@ -339,29 +405,49 @@ def test_separation_bound_check():
 
 
 def test_symbolic_wdistance_matches_pointwise():
-    cases = [
-        ("diamond_chain", NodeTerm("x1", (Affine(1, 0),)), NodeTerm("x1", (Constant(2),))),
+    n_plus = lambda c: Affine(1, c)
+    ladder = "ladder_of_endless_paths"
+    cases = [  # (family, ta, tb, the search's value at index 20 or None)
+        ("diamond_chain", NodeTerm("x1", (Affine(1, 0),)), NodeTerm("x1", (Constant(2),)), None),
         ("diamond_chain", NodeTerm("j", (Constant(1), Affine(1, 0))),
-         NodeTerm("l", (Constant(1), Constant(3)))),
-        ("diamond_chain", NodeTerm("x0", (Affine(1, 0),)), NodeTerm("x1", (Constant(0),))),
+         NodeTerm("l", (Constant(1), Constant(3))), None),
+        ("diamond_chain", NodeTerm("x0", (Affine(1, 0),)), NodeTerm("x1", (Constant(0),)), None),
         ("one_path_of_endless_paths", NodeTerm("e", (Affine(1, -3), Constant(0))),
-         NodeTerm("x1", (Constant(2),))),
-        ("ladder_of_endless_paths", NodeTerm("x1", (Parity(Constant(0), Affine(1, 0)),)),
-         NodeTerm("x1", (Constant(0),))),
+         NodeTerm("x1", (Constant(2),)), None),
+        (ladder, NodeTerm("x1", (Parity(Constant(0), Affine(1, 0)),)),
+         NodeTerm("x1", (Constant(0),)), None),
         ("partial_ladder", NodeTerm("h", (Affine(1, 0), Constant(2))),
-         NodeTerm("x1", (Constant(1),))),
-        ("partial_ladder", NodeTerm("zg", (Affine(2, 0),)), NodeTerm("xg", ())),
+         NodeTerm("x1", (Constant(1),)), None),
+        ("partial_ladder", NodeTerm("zg", (Affine(2, 0),)), NodeTerm("xg", ()), None),
+        # ladder reference values: one tip per 0-node endpoint, then the
+        # cheapest tip-to-tip gap, along h sections or through xg
+        (ladder, NodeTerm("h", (n_plus(0), Constant(0))), NodeTerm("h", (n_plus(1), Constant(3))),
+         Ordinal(2, 0)),
+        (ladder, NodeTerm("h", (n_plus(0), Constant(0))), NodeTerm("h", (n_plus(2), Constant(3))),
+         Ordinal(4, 0)),
+        (ladder, NodeTerm("h", (n_plus(0), Constant(0))), NodeTerm("h", (n_plus(3), Constant(3))),
+         Ordinal(6, 0)),
+        (ladder, NodeTerm("v", (n_plus(0), Constant(0))), NodeTerm("h", (n_plus(1), Constant(1))),
+         Ordinal(4, 0)),
+        (ladder, NodeTerm("v", (n_plus(1), Constant(0))), NodeTerm("h", (n_plus(0), Constant(1))),
+         Ordinal(2, 0)),
+        (ladder, NodeTerm("x1", (n_plus(0),)), NodeTerm("h", (n_plus(2), Constant(0))), Ordinal(5, 0)),
+        (ladder, NodeTerm("xg", ()), NodeTerm("h", (n_plus(0), Constant(0))), Ordinal(3, 0)),
+        (ladder, NodeTerm("xg", ()), NodeTerm("v", (n_plus(0), Constant(4))), Ordinal(1, 0)),
+        (ladder, NodeTerm("v", (Parity(n_plus(0), Constant(2)), Constant(1))),
+         NodeTerm("v", (Constant(2), Constant(5))), Ordinal(2, 0)),
     ]
-    for family, ta, tb in cases:
+    for family, ta, tb, reference in cases:
         g = make_one_graph(family)
         pair = g.symbolic_wdistance(ta, tb)
         assert pair is not None, (family, ta, tb)
         om, fin = pair
-        fn = g.term_wdistance_fn(ta, tb)
         start = max(sym_start(om), sym_start(fin))
         for n in range(start, start + 9):
-            d = fn(n)
+            d, _ = wdistance_witness(g, g.term_node(ta, n), g.term_node(tb, n))
             assert (d.omega_coeff, d.finite_part) == (sym_value(om, n), sym_value(fin, n))
+        if reference is not None:
+            assert wdistance_witness(g, g.term_node(ta, 20), g.term_node(tb, 20))[0] == reference
 
 
 def test_adjacency_truthsets():

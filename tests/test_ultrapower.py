@@ -15,7 +15,7 @@ from nsgraph.ordinal import Ordinal, compare
 from nsgraph.sequences import (Aff, Affine, BoundedDecl, Constant, Explicit,
                                MonotoneUnboundedDecl, Parity, Patched,
                                SequenceDeclarationError, sym_start, sym_value)
-from nsgraph.transfinite import make_one_graph, wdistance
+from nsgraph.transfinite import make_one_graph, wdistance_witness
 from nsgraph.ultrapower import (AnchorProfile, HyperOrder, Hyperordinal,
                                 NotAHyperbranchError, compare_hyperordinals,
                                 hyperdistance, hypernode_eq,
@@ -91,7 +91,7 @@ def test_profiles_match_pointwise_anchor_distances_rank1():
             anchor = g.term_node(g.anchor_term(), n)
             got = Ordinal(sym_value(h.profile.omega, n),
                           sym_value(h.profile.finite, n))
-            assert got == wdistance(g, node_at(h, n), anchor)
+            assert got == wdistance_witness(g, node_at(h, n), anchor)[0]
 
 
 def test_hypernode_eq_true_for_syntactic_variants():
@@ -207,7 +207,8 @@ def test_hyperdistance_matches_walk_search_pointwise():
                                make_hypernode(g, terms[1]))
             lo = max(sym_start(hd.omega), sym_start(hd.finite))
             for n in range(lo, lo + 5):
-                direct = wdistance(g, g.term_node(terms[0], n), g.term_node(terms[1], n))
+                direct, _ = wdistance_witness(g, g.term_node(terms[0], n),
+                                              g.term_node(terms[1], n))
                 assert hd.at(n) == direct
                 assert Ordinal(sym_value(hd.omega, n), sym_value(hd.finite, n)) == direct
 
@@ -248,6 +249,14 @@ def test_compare_hyperordinals_indeterminate_and_tripwire():
     liar = Hyperordinal(lambda n: Ordinal(0, 1), Aff(0, 0), Aff(0, 5))
     with pytest.raises(EvidenceError):
         compare_hyperordinals(liar, hyperordinal_from_syms(Aff(0, 0), Aff(0, 3)))
+
+
+def test_one_disagreeing_probe_refutes_a_claimed_order():
+    # the claim reads 5 > 3; the settled probes are n = 10 and 11, and only 11 disagrees
+    half_liar = Hyperordinal(lambda n: Ordinal(0, 1 if n == 11 else 5), Aff(0, 0), Aff(0, 5))
+    three = hyperordinal_from_syms(Aff(0, 0), Aff(0, 3))
+    with pytest.raises(EvidenceError):
+        compare_hyperordinals(half_liar, three, horizon=10)
 
 
 def test_hyperbranch_rank0():
