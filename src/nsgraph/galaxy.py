@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import GraphInstance, NodeTerm, node_coords
+from .graphs import DEFAULT_BUDGET, GraphInstance, NodeTerm, node_coords
 from .kernel import IndeterminateError, Trivalent
 from .ordinal import Ordinal
 from .sequences import (
@@ -432,7 +432,9 @@ def _shell_test(graph: GraphInstance, origin) -> Callable[[object, int], bool]:
 
     A family with a closed form answers each query directly.  Any other
     reads one BFS ball around the origin, grown a layer at a time as the
-    walk needs it, in place of one search per query.
+    walk needs it, in place of one search per query.  The ball stops at
+    DEFAULT_BUDGET nodes, the budget one search had, and a query past it
+    raises ChainConstructionError.
     """
     if graph.has_closed_form:
         return lambda node, n: graph.distance(origin, node) == n
@@ -441,6 +443,9 @@ def _shell_test(graph: GraphInstance, origin) -> Callable[[object, int], bool]:
     def on_shell(node, n: int) -> bool:
         nonlocal layer, radius
         while radius < n and layer:
+            if len(depth) > DEFAULT_BUDGET:
+                raise ChainConstructionError(
+                    f"shell ball passed {DEFAULT_BUDGET} nodes at radius {radius}")
             radius += 1
             outer = []
             for u in layer:

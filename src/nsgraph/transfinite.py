@@ -246,7 +246,8 @@ def _by_section(same: TruthSet | None, start: int,
     Cofinitely shared: omega 0 and the in-section gap `same_finite()`.
     Finitely shared: the family's cross-section form `cross(start)`, with
     the start moved past the last shared index.  A parity-straddling split
-    gives None, and the caller falls back to pointwise search.
+    gives None; the caller may settle it per parity branch (`_by_parity`)
+    or else has no form.
     """
     if same is None:
         return None

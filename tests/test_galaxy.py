@@ -290,6 +290,20 @@ def test_konig_ray_reads_shells_from_one_ball(monkeypatch):
         assert search(pert, pert.anchor(), node_at(w, n)) == n
 
 
+def test_konig_ray_refuses_a_query_past_the_ball_budget():
+    # the cut rail at k = -25 leaves no affine tail within the probe, so
+    # the ray is a greedy-ray Explicit that walks shells on demand
+    pert = make_family("perturbed_grid", edits=[{"op": "remove", "a": [-25, 0], "b": [-26, 0]}])
+    w = konig_ray_witness(pert, probe=30)
+    assert w.term.params[0].label == "greedy-ray"
+    assert node_at(w, 60) == GridNode(-59, -1)
+    # radius 400 needs about 2 * 400**2 nodes, past the 200000-node budget
+    with pytest.raises(ChainConstructionError, match="shell ball passed"):
+        node_at(w, 400)
+    assert graphs.DEFAULT_BUDGET == 200_000
+    assert node_at(w, 200) == GridNode(-199, -1)
+
+
 def test_konig_ray_backtracks_from_a_non_anchor_origin():
     # the least-coordinate walk from p:8 runs down into p:0 and dead-ends
     g = make_family("one_ended_path")

@@ -275,6 +275,7 @@ def test_partial_ladder_search_matches_enumeration_through_the_hub():
             assert wdistance_witness(g, a, b)[0] == want, (a, b)
             assert wdistance_witness(g, b, a)[0] == want, (b, a)
             assert wdistance(g, a, b) == want, (a, b)
+            assert wdistance(g, b, a) == want, (b, a)
 
 
 def test_declared_hubs_are_star_centres():
