@@ -20,7 +20,7 @@ from .literals import graph_label
 from .ordinal import Comparison, Ordinal, compare, natural_sum
 from .oracles import enumeration_wdistance, oracle_distance
 from .sequences import Aff, Affine, Constant
-from .transfinite import OneGraph, promote, wdistance, wdistance_witness
+from .transfinite import promote, wdistance, wdistance_witness
 from .ultrapower import (HyperOrder, compare_hyperordinals,
                          hyperordinal_from_syms, make_hypernode)
 
@@ -82,10 +82,6 @@ class CheckTally:
 
 
 # ====== sampling helpers ======
-
-def _rank(graph) -> int:
-    return 1 if isinstance(graph, OneGraph) else 0
-
 
 def _random_term(graph, rng: random.Random) -> NodeTerm:
     ctor = rng.choice(sorted(graph.TERM_ARITY))
@@ -157,7 +153,7 @@ def _metric_rank1(graph, rng: random.Random, triples: int) -> list[CheckResult]:
 
 
 def _suite_metric(graph, rng: random.Random, samples: int | None) -> list[CheckResult]:
-    if _rank(graph) == 0:
+    if graph.rank == 0:
         return _metric_rank0(graph, rng, samples or 1000)
     return _metric_rank1(graph, rng, samples or 200)
 
@@ -226,7 +222,7 @@ def _suite_order(graph, rng: random.Random,
 def _suite_walk_oracle(graph, rng: random.Random,
                        samples: int | None) -> list[CheckResult]:
     count = samples or 35
-    if _rank(graph) == 1:
+    if graph.rank == 1:
         # wdistance answers from closed forms; the quotient search is checked apart
         closed = CheckTally("wdistance equals bounded enumeration")
         searched = CheckTally("quotient search equals bounded enumeration")

@@ -22,9 +22,9 @@ import time
 from .galaxy import (GalaxyRelation, anchor_hypernode, boundary_ray_witness,
                      build_galaxy_chain, closer_than, in_principal_galaxy,
                      konig_ray_witness, limitedly_distant)
-from .checks import _rank, run_check_suite
+from .checks import run_check_suite
 from .graphs import Exhausted, UnreachableError
-from .kernel import DEFAULT_HORIZON, IndeterminateError, Trivalent
+from .kernel import DEFAULT_HORIZON, IndeterminateError
 from .literals import graph_label, parse_graph, parse_hypernode, parse_node
 from .ordinal import render_ordinal
 from .sequences import sym_value
@@ -66,7 +66,7 @@ def _verdict_record(v) -> dict:
 # ====== command bodies; each returns (result dict, exit code) ======
 
 def _cmd_distance(graph, job, opts):
-    if _rank(graph) != 0:
+    if graph.rank != 0:
         raise JobError("distance expects a rank-0 family; use wdistance")
     x = parse_node(graph, _operand(job, "x"))
     y = parse_node(graph, _operand(job, "y"))
@@ -77,7 +77,7 @@ def _cmd_distance(graph, job, opts):
 
 
 def _cmd_wdistance(graph, job, opts):
-    if _rank(graph) != 1:
+    if graph.rank != 1:
         raise JobError("wdistance expects a rank-1 family; use distance")
     x = parse_node(graph, _operand(job, "x"))
     y = parse_node(graph, _operand(job, "y"))
@@ -118,7 +118,7 @@ def _cmd_chain(graph, job, opts):
 
 def _cmd_witness(graph, job, opts):
     origin_text = _operand(job, "origin", required=False)
-    if _rank(graph) == 0:
+    if graph.rank == 0:
         origin = parse_node(graph, origin_text) if origin_text else None
         w = konig_ray_witness(graph, origin)
     else:
@@ -147,8 +147,8 @@ def _cmd_check(graph, job, opts):
 def _cmd_describe(graph, job, opts):
     x_text = _operand(job, "x", required=False)
     if x_text is None:
-        facts = {"family": graph.family, "rank": _rank(graph)}
-        if _rank(graph) == 0:
+        facts = {"family": graph.family, "rank": graph.rank}
+        if graph.rank == 0:
             facts["locally_finite"] = graph.locally_finite
         else:
             facts["locally_1_finite"] = graph.locally_1_finite

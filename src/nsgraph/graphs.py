@@ -127,6 +127,7 @@ class GraphInstance:
     """Base of the rank-0 catalog families."""
 
     family: str = ""
+    rank: int = 0  # distances are finite; OneGraph's are ordinals below w**2
     locally_finite: bool = True
     has_closed_form: bool = True
 
@@ -190,7 +191,12 @@ class GraphInstance:
         return None
 
     def adjacency_truthset(self, ta: NodeTerm, tb: NodeTerm) -> TruthSet | None:
-        return None
+        """Classification of {n : the two generated nodes share a branch}.
+
+        Adjacent means distance exactly 1, read from the distance form.
+        """
+        sym = self.symbolic_distance(ta, tb)
+        return None if sym is None else eq_const_truthset(sym, 1)
 
     def term_distance_fn(self, ta: NodeTerm, tb: NodeTerm):
         def fn(n: int) -> int:
@@ -315,10 +321,6 @@ class EndlessPath(GraphInstance):
     def symbolic_distance(self, ta, tb):
         return sym_abs(sym_sub(ta.param_syms()[0], tb.param_syms()[0]))
 
-    def adjacency_truthset(self, ta, tb):
-        delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-        return eq_const_truthset(sym_abs(delta), 1)
-
     def sample_nodes(self, rng, count, span=15):
         return [PathNode(rng.randint(-span, span)) for _ in range(count)]
 
@@ -397,17 +399,6 @@ class Ladder(GraphInstance):
         start = max(sym_start(s) for s in ta.param_syms() + tb.param_syms())
         return Opaque(self.term_distance_fn(ta, tb), lo=0, hi=2, start=start)
 
-    def adjacency_truthset(self, ta, tb):
-        kinds = {ta.ctor, tb.ctor}
-        if kinds == {"lad", "ladg"}:
-            return cofinite_set()
-        if kinds == {"ladg"}:
-            return finite_set()
-        if kinds == {"lad"}:
-            delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-            return eq_const_truthset(sym_abs(delta), 1)
-        return None
-
     def sample_nodes(self, rng, count, span=15):
         out = []
         for _ in range(count):
@@ -461,19 +452,6 @@ class LadderWithRay(Ladder):
             return s
         return sym_add(s, Aff(0, 1))
 
-    def adjacency_truthset(self, ta, tb):
-        kinds = {ta.ctor, tb.ctor}
-        if "ray" not in kinds:
-            return super().adjacency_truthset(ta, tb)
-        if kinds == {"ray"}:
-            delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-            return eq_const_truthset(sym_abs(delta), 1)
-        ray_term = ta if ta.ctor == "ray" else tb
-        other = tb if ta.ctor == "ray" else ta
-        if other.ctor == "ladg":
-            return eq_const_truthset(ray_term.param_syms()[0], 1)
-        return finite_set()
-
     def sample_nodes(self, rng, count, span=15):
         out = []
         for _ in range(count):
@@ -518,10 +496,6 @@ class Grid2D(GraphInstance):
     def symbolic_distance(self, ta, tb):
         (sk, sl), (tk, tl) = ta.param_syms(), tb.param_syms()
         return sym_add(sym_abs(sym_sub(sk, tk)), sym_abs(sym_sub(sl, tl)))
-
-    def adjacency_truthset(self, ta, tb):
-        # pure lattice rule on purpose: subclasses correct for edits afterwards
-        return eq_const_truthset(Grid2D.symbolic_distance(self, ta, tb), 1)
 
     def sample_nodes(self, rng, count, span=15):
         return [GridNode(rng.randint(-span, span), rng.randint(-span, span))
@@ -674,7 +648,8 @@ class PerturbedGrid(Grid2D):
             adjacent = b in set(self.neighbors(a))
             start = max(sym_start(s) for s in syms)
             return cofinite_set(start) if adjacent else finite_set(start)
-        base = super().adjacency_truthset(ta, tb)
+        # distance one on the pristine lattice: the widened distance only brackets moving pairs
+        base = eq_const_truthset(Grid2D.symbolic_distance(self, ta, tb), 1)
         if base is None:
             return None
         # moving terms must eventually leave every edited branch behind

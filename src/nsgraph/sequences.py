@@ -293,6 +293,8 @@ def bump_start(sym: SymInt, start: int) -> SymInt:
 
 
 def parity_sym(even: SymInt, odd: SymInt) -> SymInt:
+    # a branch is read on its own parity only, so a nested split flattens
+    even, odd = _branch(even, "even"), _branch(odd, "odd")
     if even == odd:
         return even
     return ParityS(even, odd)

@@ -26,7 +26,12 @@ ladder ground xg), `fan="ones"` makes the section touch every 1-node of the
 kind (the partial ladder's star).  `OneGraph` derives both lookup directions
 from the table, `sections_of(one, window)` and `incidences(section, window)`,
 and fans are cut to the index window; the search and the boundary and
-adjacency predicates read nothing else.
+1-adjacency predicates read nothing else.
+
+Adjacent means distance exactly 1, read from the distance form: a branch is
+a walk of length w*0 + 1, so `OneGraph.adjacency_truthset` classifies where
+`symbolic_wdistance` has omega part 0 and finite part 1, and no family
+states a second adjacency rule.
 
 A row may also name the `hub` of its section: a 0-node through which the
 section's metric is a star, d(u, v) = d(u, hub) + d(hub, v) for distinct u
@@ -57,7 +62,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .graphs import (NodeTerm, NotAMemberError, UnreachableError, natkey)
-from .kernel import TruthSet, cofinite_set, finite_set, intersect
+from .kernel import TruthSet, finite_set, intersect
 from .ordinal import ZERO, Ordinal
 from .sequences import (Aff, Constant, Opaque, Parity, ParityS, SymInt, bump_start,
                         classify, eq_const_truthset, eq_truthset, parity_sym,
@@ -238,38 +243,6 @@ def _series_one_sym(ta: NodeTerm, tb: NodeTerm) -> tuple[SymInt, SymInt] | None:
     return omega, Aff(0, 0, sym_start(delta))
 
 
-def _by_section(same: TruthSet | None, start: int,
-                same_finite: Callable[[], SymInt | None],
-                cross: Callable[[int], tuple[SymInt, SymInt] | None]):
-    """Zero-zero form split on {n : the two 0-nodes share a section}.
-
-    Cofinitely shared: omega 0 and the in-section gap `same_finite()`.
-    Finitely shared: the family's cross-section form `cross(start)`, with
-    the start moved past the last shared index.  A parity-straddling split
-    gives None; the caller may settle it per parity branch (`_by_parity`)
-    or else has no form.
-    """
-    if same is None:
-        return None
-    t = same.threshold
-    if same.kind == "cofinite":
-        fin = same_finite()
-        return None if fin is None else (Aff(0, 0, max(start, t)), bump_start(fin, t))
-    if same.kind == "finite":
-        return cross(max(start, t))
-    return None
-
-
-def _step_adjacency(same: TruthSet | None, ta: NodeTerm, tb: NodeTerm) -> TruthSet | None:
-    """Adjacency on endless-path sections: shared section, positions one apart."""
-    if same is None or same.kind == "split":
-        return None
-    if same.kind == "finite":
-        return finite_set(same.threshold)
-    step = eq_const_truthset(_position_gap(ta, tb), 1)
-    return intersect(step, same) if step is not None else None
-
-
 def _sym_min(forms: list[SymInt | None]) -> SymInt | None:
     """Indexwise minimum of eventually constant forms, parity branch by branch."""
     if len(forms) == 1:
@@ -309,6 +282,7 @@ class OneGraph:
     """A catalog 1-graph presented through section and incidence oracles."""
 
     family: str = ""
+    rank: int = 1  # walk lengths are ordinals below w**2
     INCIDENCE: tuple[Touch, ...] = ()
     two_way: bool = False  # indices run over all integers, not from 0
     locally_1_finite: bool = True        # sections touch finitely many boundary 1-nodes
@@ -462,9 +436,37 @@ class OneGraph:
         """Certified (omega part, finite part) of n -> wdistance(ta(n), tb(n))."""
         return None
 
+    def _by_section(self, ta: NodeTerm, tb: NodeTerm, same: TruthSet | None, start: int,
+                    same_finite: Callable[[], SymInt | None],
+                    cross: Callable[[int], tuple[SymInt, SymInt] | None]):
+        """Zero-zero form split on {n : the two 0-nodes share a section}.
+
+        Cofinitely shared: omega 0 and the in-section gap `same_finite()`.
+        Finitely shared: the family's cross-section form `cross(start)`, with
+        the start moved past the last shared index.  Anything else, such as a
+        parity-straddling split, is `symbolic_wdistance` taken per parity
+        branch of the terms' Parity parameters, or has no form.
+        """
+        pair = None
+        if same is not None and same.kind == "cofinite":
+            fin = same_finite()
+            if fin is not None:
+                pair = Aff(0, 0, max(start, same.threshold)), bump_start(fin, same.threshold)
+        elif same is not None and same.kind == "finite":
+            pair = cross(max(start, same.threshold))
+        return pair if pair is not None else _by_parity(self.symbolic_wdistance, ta, tb)
+
     def adjacency_truthset(self, ta: NodeTerm, tb: NodeTerm) -> TruthSet | None:
-        """Classification of {n : the two generated 0-nodes share a branch}."""
-        return None
+        """Classification of {n : the two generated nodes share a branch}.
+
+        Adjacent means distance exactly 1, read from the distance form: omega
+        part 0 and finite part 1.  A star leaf promotes to the 1-node holding
+        it, which touches the hub exactly as the leaf does.
+        """
+        pair = self.symbolic_wdistance(ta, tb)
+        if pair is None:
+            return None
+        return intersect(eq_const_truthset(pair[0], 0), eq_const_truthset(pair[1], 1))
 
     def term_wdistance_fn(self, ta: NodeTerm, tb: NodeTerm) -> Callable[[int], Ordinal]:
         def fn(n: int) -> Ordinal:
@@ -725,9 +727,9 @@ class DiamondChain(OneGraph):
         if "x1" in (ta.ctor, tb.ctor):
             return _series_one_sym(ta, tb)
         delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-        return _by_section(eq_truthset(delta), sym_start(delta),
-                           lambda: self._same_chain_distance(ta, tb),
-                           lambda start: (_abs_scaled(delta, 2), Aff(0, 0, start)))
+        return self._by_section(ta, tb, eq_truthset(delta), sym_start(delta),
+                                lambda: self._same_chain_distance(ta, tb),
+                                lambda start: (_abs_scaled(delta, 2), Aff(0, 0, start)))
 
     def _same_chain_distance(self, ta, tb) -> SymInt | None:
         da, db = ta.param_syms()[1], tb.param_syms()[1]
@@ -746,27 +748,6 @@ class DiamondChain(OneGraph):
             return Aff(0, 2, max(sym_start(gap), depth_eq.threshold))
         return None
 
-    def adjacency_truthset(self, ta, tb):
-        ta, tb = self.normalize_term(ta), self.normalize_term(tb)
-        if "x1" in (ta.ctor, tb.ctor):
-            return finite_set()  # 1-nodes hold no branches themselves
-        same_chain = eq_truthset(sym_sub(ta.param_syms()[0], tb.param_syms()[0]))
-        if same_chain is None:
-            return None
-        never_in_section = ta.ctor == tb.ctor or {ta.ctor, tb.ctor} == {"l", "r"}
-        if same_chain.kind == "finite" or never_in_section:
-            return finite_set(same_chain.threshold)
-        # junction vs companion: adjacent when depths are equal or companion
-        # sits one step above the junction
-        j_term, c_term = (ta, tb) if ta.ctor == "j" else (tb, ta)
-        dj, dc = j_term.param_syms()[1], c_term.param_syms()[1]
-        same = eq_truthset(sym_sub(dj, dc))
-        above = eq_const_truthset(sym_sub(dj, dc), 1)
-        if same is None or above is None:
-            return None
-        cond = _ts_union(same, above)
-        return intersect(cond, same_chain) if cond is not None else None
-
     def sample_maximal_nodes(self, rng, count, span=6):
         out = []
         for _ in range(count):
@@ -776,24 +757,6 @@ class DiamondChain(OneGraph):
                 out.append(DiamondNode(rng.choice("jlr"), rng.randint(0, span),
                                        rng.randint(0, span)))
         return out
-
-
-def _ts_union(a: TruthSet, b: TruthSet, threshold: int = 0) -> TruthSet | None:
-    """Union of two classified sets, when the result is classifiable."""
-    t = max(a.threshold, b.threshold, threshold)
-    kinds = {a.kind, b.kind}
-    if "cofinite" in kinds:
-        return cofinite_set(t)
-    if kinds == {"finite"}:
-        return finite_set(t)
-    if a.kind == "split" and b.kind == "finite":
-        return TruthSet("split", t, a.even_true)
-    if b.kind == "split" and a.kind == "finite":
-        return TruthSet("split", t, b.even_true)
-    if kinds == {"split"}:
-        return cofinite_set(t) if a.even_true != b.even_true \
-            else TruthSet("split", t, a.even_true)
-    return None
 
 
 class OnePathOfEndlessPaths(OneGraph):
@@ -839,14 +802,9 @@ class OnePathOfEndlessPaths(OneGraph):
         if "x1" in (ta.ctor, tb.ctor):
             return _series_one_sym(ta, tb)
         delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-        return _by_section(eq_truthset(delta), sym_start(delta),
-                           lambda: _position_gap(ta, tb),
-                           lambda start: (_abs_scaled(delta, 2), Aff(0, 0, start)))
-
-    def adjacency_truthset(self, ta, tb):
-        if "x1" in (ta.ctor, tb.ctor):
-            return finite_set()
-        return _step_adjacency(_same_kind_section(ta, tb), ta, tb)
+        return self._by_section(ta, tb, eq_truthset(delta), sym_start(delta),
+                                lambda: _position_gap(ta, tb),
+                                lambda start: (_abs_scaled(delta, 2), Aff(0, 0, start)))
 
     def sample_maximal_nodes(self, rng, count, span=6):
         out = []
@@ -950,14 +908,8 @@ class LadderOfEndlessPaths(OneGraph):
 
         if ends < 2:
             return cross(start)
-        return (_by_section(_same_kind_section(ta, tb), start,
-                            lambda: _position_gap(ta, tb), cross)
-                or _by_parity(self.symbolic_wdistance, ta, tb))
-
-    def adjacency_truthset(self, ta, tb):
-        if "x1" in (ta.ctor, tb.ctor) or "xg" in (ta.ctor, tb.ctor):
-            return finite_set()
-        return _step_adjacency(_same_kind_section(ta, tb), ta, tb)
+        return self._by_section(ta, tb, _same_kind_section(ta, tb), start,
+                                lambda: _position_gap(ta, tb), cross)
 
     def sample_maximal_nodes(self, rng, count, span=6):
         out = []
@@ -1076,28 +1028,14 @@ class PartialLadderOfEndlessPaths(OneGraph):
                 return None
             return Aff(0, 1, start), fin
         delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-        return _by_section(eq_truthset(delta), start, lambda: _position_gap(ta, tb),
-                           lambda start: self._cross_rails(delta, start))
+        return self._by_section(ta, tb, eq_truthset(delta), start,
+                                lambda: _position_gap(ta, tb),
+                                lambda start: self._cross_rails(delta, start))
 
     @staticmethod
     def _cross_rails(delta: SymInt, start: int) -> tuple[SymInt, SymInt] | None:
         fin = zone_by_magnitude(delta, (0, 0, 2))
         return None if fin is None else (Aff(0, 2, start), fin)
-
-    def adjacency_truthset(self, ta, tb):
-        # promotion preserves branch verdicts: a star leaf only touches the
-        # hub, exactly like the rung 1-node holding it
-        ta, tb = self.promote_term(ta), self.promote_term(tb)
-        kinds = {ta.ctor, tb.ctor}
-        if kinds == {"xg", "x1"}:
-            return cofinite_set()  # hub keeps its branch to every leaf
-        if "x1" in kinds or kinds == {"xg"}:
-            return finite_set()
-        if "h" not in kinds:
-            return None
-        if kinds == {"h", "xg"}:
-            return finite_set()
-        return _step_adjacency(_same_kind_section(ta, tb), ta, tb)
 
     def sample_maximal_nodes(self, rng, count, span=6):
         out = []

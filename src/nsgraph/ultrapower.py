@@ -30,7 +30,6 @@ from .kernel import (
 from .ordinal import Comparison, Ordinal, compare
 from .sequences import (
     Aff,
-    Graded,
     MonotoneUnboundedGrowth,
     Opaque,
     ParityS,
@@ -75,24 +74,6 @@ def _param_start(term: NodeTerm) -> int:
     return max([0] + [sym_start(s) for s in term.param_syms()])
 
 
-def _anchor_profile(graph, term: NodeTerm) -> AnchorProfile:
-    anchor = graph.anchor_term()
-    start = _param_start(term)
-    if isinstance(graph, OneGraph):
-        pair = graph.symbolic_wdistance(term, anchor)
-        if pair is not None:
-            return AnchorProfile(*pair)
-        fn = graph.term_wdistance_fn(term, anchor)
-        return AnchorProfile(
-            Opaque(fn=lambda n: fn(n).omega_coeff, lo=0, start=start),
-            Opaque(fn=lambda n: fn(n).finite_part, lo=0, start=start),
-        )
-    sym = graph.symbolic_distance(term, anchor)
-    if sym is None:
-        sym = Opaque(fn=graph.term_distance_fn(term, anchor), lo=0, start=start)
-    return AnchorProfile(Aff(0, 0, start), sym)
-
-
 def make_hypernode(graph, term: NodeTerm, prefix: int = 64) -> Hypernode:
     """Check the presentation, probe membership on a prefix, build the profile."""
     graph.check_term(term)
@@ -101,8 +82,8 @@ def make_hypernode(graph, term: NodeTerm, prefix: int = 64) -> Hypernode:
     start = _param_start(term)
     for n in range(start, start + prefix + 1):
         graph.term_node(term, n)  # raises NotAMemberError on a bad index
-    rank = 1 if isinstance(graph, OneGraph) else 0
-    return Hypernode(graph, term, rank, _anchor_profile(graph, term))
+    to_anchor = _term_pair_distance(graph, term, graph.anchor_term())
+    return Hypernode(graph, term, graph.rank, AnchorProfile(to_anchor.omega, to_anchor.finite))
 
 
 def node_at(h: Hypernode, n: int):
@@ -288,25 +269,31 @@ def compare_hyperordinals(a: Hyperordinal, b: Hyperordinal,
     return verdict
 
 
-def hyperdistance(a: Hypernode, b: Hypernode) -> Hyperordinal:
-    """Indexwise distance between two points of the same enlargement."""
-    require_same_enlargement(a, b)
-    graph = a.graph
-    start = max(_param_start(a.term), _param_start(b.term))
-    if isinstance(graph, OneGraph):
-        fn = graph.term_wdistance_fn(a.term, b.term)
-        pair = graph.symbolic_wdistance(a.term, b.term)
+def _term_pair_distance(graph, ta: NodeTerm, tb: NodeTerm) -> Hyperordinal:
+    """n -> d(ta(n), tb(n)) with its (omega, finite) forms.
+
+    A part without a symbolic form is an `Opaque` read from the pointwise
+    distance, certified only as nonnegative.
+    """
+    start = max(_param_start(ta), _param_start(tb))
+    if graph.rank:
+        fn = graph.term_wdistance_fn(ta, tb)
+        pair = graph.symbolic_wdistance(ta, tb)
         if pair is None:
-            pair = (
-                Opaque(fn=lambda n: fn(n).omega_coeff, lo=0, start=start),
-                Opaque(fn=lambda n: fn(n).finite_part, lo=0, start=start),
-            )
+            pair = (Opaque(fn=lambda n: fn(n).omega_coeff, lo=0, start=start),
+                    Opaque(fn=lambda n: fn(n).finite_part, lo=0, start=start))
         return Hyperordinal(fn, *pair)
-    plain = graph.term_distance_fn(a.term, b.term)
-    sym = graph.symbolic_distance(a.term, b.term)
+    plain = graph.term_distance_fn(ta, tb)
+    sym = graph.symbolic_distance(ta, tb)
     if sym is None:
         sym = Opaque(fn=plain, lo=0, start=start)
     return Hyperordinal(lambda n: Ordinal(0, plain(n)), Aff(0, 0, start), sym)
+
+
+def hyperdistance(a: Hypernode, b: Hypernode) -> Hyperordinal:
+    """Indexwise distance between two points of the same enlargement."""
+    require_same_enlargement(a, b)
+    return _term_pair_distance(a.graph, a.term, b.term)
 
 
 # ====== Hyperbranches ======
@@ -335,7 +322,7 @@ class Hyperbranch:
 def _adjacent_at(graph, tu: NodeTerm, tv: NodeTerm, n: int) -> bool:
     x = graph.term_node(tu, n)
     y = graph.term_node(tv, n)
-    if isinstance(graph, OneGraph):
+    if graph.rank:
         return wdistance(graph, x, y) == Ordinal(0, 1)
     d = graph.distance(x, y)
     return not isinstance(d, Exhausted) and d == 1

@@ -19,8 +19,8 @@ from nsgraph.galaxy import (ChainConstructionError, GalaxyRelation,
 from nsgraph.graphs import GridNode, NodeTerm, PathNode, make_family
 from nsgraph.kernel import Trivalent
 from nsgraph.ordinal import Ordinal
-from nsgraph.sequences import Affine, Constant, Parity, sym_value
-from nsgraph.transfinite import make_one_graph, wdistance
+from nsgraph.sequences import Affine, Constant, Parity, ParityS, sym_value
+from nsgraph.transfinite import make_one_graph, wdistance, wdistance_witness
 from nsgraph.ultrapower import (hyperdistance, make_hyperbranch,
                                 make_hypernode, node_at)
 
@@ -80,6 +80,26 @@ def test_limitedly_distant_grid_constants():
     v = limitedly_distant(hyper(grid, "grid", Constant(5), Constant(7)),
                           anchor_hypernode(grid))
     assert v == GalaxyVerdict(GalaxyRelation.SAME, Ordinal(0, 12), True)
+
+
+@pytest.mark.parametrize("family, ta, tb, relation", [
+    # chains 1 and 1 on the evens, 1 and n + 6 on the odds
+    ("diamond_chain", NodeTerm("x0", (Parity(Affine(0, 1), Affine(1, 6)),)),
+     NodeTerm("x0", (Constant(1),)), GalaxyRelation.FILTER_DEPENDENT),
+    ("one_path_of_endless_paths", NodeTerm("e", (Parity(Constant(2), Affine(1, 3)), Constant(0))),
+     NodeTerm("e", (Constant(2), Constant(5))), GalaxyRelation.FILTER_DEPENDENT),
+    # the odd branch crosses rails at w*2 + 2, a bounded distance
+    ("partial_ladder", NodeTerm("h", (Parity(Constant(2), Affine(1, 3)), Constant(0))),
+     NodeTerm("h", (Constant(2), Constant(5))), GalaxyRelation.SAME),
+])
+def test_zero_nodes_sharing_a_section_on_one_parity(family, ta, tb, relation):
+    g = make_one_graph(family)
+    omega, finite = g.symbolic_wdistance(ta, tb)
+    assert isinstance(omega, ParityS)
+    for n in (40, 41, 42, 43):
+        d, _ = wdistance_witness(g, g.term_node(ta, n), g.term_node(tb, n))
+        assert (d.omega_coeff, d.finite_part) == (sym_value(omega, n), sym_value(finite, n))
+    assert limitedly_distant(make_hypernode(g, ta), make_hypernode(g, tb)).relation is relation
 
 
 def test_in_principal_galaxy_verdicts():

@@ -8,14 +8,16 @@ being frozen here; the sweeps below keep re-deriving the pointwise side.
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from nsgraph.graphs import Exhausted, NodeTerm, NotAMemberError, make_family
+from nsgraph.graphs import FAMILIES, Exhausted, NodeTerm, NotAMemberError, make_family
 from nsgraph.kernel import EvidenceError, IndeterminateError, Trivalent
 from nsgraph.ordinal import Ordinal, compare
 from nsgraph.sequences import (Aff, Affine, BoundedDecl, Constant, Explicit,
                                MonotoneUnboundedDecl, Parity, Patched,
                                SequenceDeclarationError, sym_start, sym_value)
-from nsgraph.transfinite import make_one_graph, wdistance_witness
+from nsgraph.transfinite import ONE_FAMILIES, make_one_graph, wdistance_witness
 from nsgraph.ultrapower import (AnchorProfile, HyperOrder, Hyperordinal,
                                 NotAHyperbranchError, compare_hyperordinals,
                                 hyperdistance, hypernode_eq,
@@ -291,6 +293,64 @@ def test_hyperbranch_rank1():
         make_hyperbranch(dc, NodeTerm("j", (chain, Parity(Constant(3), Constant(5)))),
                          NodeTerm("l", (chain, Constant(3))))
     assert err.value.verdict is Trivalent.FILTER_DEPENDENT
+
+
+def _index_sequences():
+    """Constant, affine and parity parameters with small coefficients."""
+    plain = (st.integers(0, 9).map(Constant)
+             | st.builds(Affine, st.integers(-1, 2), st.integers(0, 9)))
+    return plain | st.builds(Parity, plain, plain)
+
+
+def _term(graph, data):
+    ctor = data.draw(st.sampled_from(sorted(graph.TERM_ARITY)))
+    return NodeTerm(ctor, tuple(data.draw(_index_sequences())
+                                for _ in range(graph.TERM_ARITY[ctor])))
+
+
+def _shifted(seq, k):
+    if isinstance(seq, Parity):
+        return Parity(_shifted(seq.even, k), _shifted(seq.odd, k))
+    return Affine(seq.a, seq.b + k) if isinstance(seq, Affine) else Constant(seq.value(0) + k)
+
+
+def _nearby_term(graph, data, term):
+    """Parameters of `term` moved by at most one, on one parity or both: often adjacent."""
+    ctors = sorted(c for c, arity in graph.TERM_ARITY.items() if arity == len(term.params))
+    params = []
+    for p in term.params:
+        q = _shifted(p, data.draw(st.integers(-1, 1)))
+        params.append(data.draw(st.sampled_from([q, Parity(p, q), Parity(q, p)])))
+    return NodeTerm(data.draw(st.sampled_from(ctors)), tuple(params))
+
+
+ADJACENCY_FAMILIES = sorted(set(FAMILIES) - {"perturbed_grid"}) + sorted(ONE_FAMILIES)
+
+
+@pytest.mark.parametrize("family", ADJACENCY_FAMILIES)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_adjacency_truthset_matches_pointwise_adjacency(family, data):
+    """The distance-one rule agrees with a search or closed form it never reads."""
+    g = make_one_graph(family) if family in ONE_FAMILIES else make_family(family)
+    ta = _term(g, data)
+    tb = _nearby_term(g, data, ta) if data.draw(st.booleans()) else _term(g, data)
+    evidence = g.adjacency_truthset(ta, tb)
+    if evidence is None:
+        return  # a refusal never guesses
+    settled = evidence.threshold + evidence.threshold % 2
+    indices = range(settled, settled + 4)  # two evens, two odds
+    for n in indices:
+        try:
+            x, y = g.term_node(ta, n), g.term_node(tb, n)
+        except NotAMemberError:
+            assume(False)
+        if g.rank:
+            adjacent = wdistance_witness(g, x, y)[0] == Ordinal(0, 1)
+        else:
+            adjacent = g.closed_form_distance(x, y) == 1
+        assert adjacent == evidence.holds_at(n), (ta, tb, evidence, n)
 
 
 def test_perturbation_invariance():
