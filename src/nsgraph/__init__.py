@@ -6,14 +6,13 @@ lengths below w**2.  The package keeps every verdict certified: an answer is
 an exact value, a bracketing bound, or an explicit refusal, never a guess.
 """
 
-from .ordinal import (OMEGA, ZERO, Comparison, Ordinal, compare, natural_sum,
+from .ordinal import (OMEGA, ZERO, Ordinal, compare, natural_sum,
                       parse_ordinal, render_ordinal)
 from .kernel import (EvidenceError, IndeterminateError, Trivalent, TruthSet,
                      cofinite_set, finite_set, in_filter, intersect,
                      parity_split, verdict)
 from .sequences import (Affine, Constant, Explicit, IndexSequence, Parity,
-                        Patched, growth_class, perturb_sequence,
-                        validate_declaration)
+                        Patched, perturb_sequence, validate_declaration)
 from .graphs import (Exhausted, GraphInstance, NodeTerm, NotAMemberError,
                      make_family)
 from .transfinite import (OneGraph, boundary_one_nodes,
@@ -37,7 +36,7 @@ from .checks import SUITES, CheckResult, SuiteReport, run_check_suite
 
 __all__ = [
     # ordinals
-    "OMEGA", "ZERO", "Comparison", "Ordinal", "compare", "natural_sum",
+    "OMEGA", "ZERO", "Ordinal", "compare", "natural_sum",
     "parse_ordinal", "render_ordinal",
     # three-valued kernel
     "EvidenceError", "IndeterminateError", "Trivalent", "TruthSet",
@@ -45,7 +44,7 @@ __all__ = [
     "verdict",
     # index sequences
     "Affine", "Constant", "Explicit", "IndexSequence", "Parity", "Patched",
-    "growth_class", "perturb_sequence", "validate_declaration",
+    "perturb_sequence", "validate_declaration",
     # graphs of both ranks
     "Exhausted", "GraphInstance", "NodeTerm", "NotAMemberError",
     "make_family", "OneGraph", "boundary_one_nodes",

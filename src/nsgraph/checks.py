@@ -17,12 +17,11 @@ from .graphs import Exhausted, GraphInstance, NodeTerm, NotAMemberError
 from .kernel import (Trivalent, cofinite_set, finite_set, in_filter,
                      parity_split, verdict)
 from .literals import graph_label
-from .ordinal import Comparison, Ordinal, compare, natural_sum
+from .ordinal import HyperOrder, Ordinal, compare, natural_sum
 from .oracles import enumeration_wdistance, oracle_distance
 from .sequences import Aff, Affine, Constant
 from .transfinite import promote, wdistance, wdistance_witness
-from .ultrapower import (HyperOrder, compare_hyperordinals,
-                         hyperordinal_from_syms, make_hypernode)
+from .ultrapower import compare_hyperordinals, hyperordinal_from_syms, make_hypernode
 
 __all__ = ["CheckResult", "SuiteReport", "SUITES", "run_check_suite"]
 
@@ -147,7 +146,7 @@ def _metric_rank1(graph, rng: random.Random, triples: int) -> list[CheckResult]:
                        _counterexample(x, y, dxy))
         symmetry.check(dxy == dyx, _counterexample(x, y, dxy, dyx))
         bound = natural_sum(dxy, dyz)
-        triangle.check(compare(dxz, bound) is not Comparison.GREATER,
+        triangle.check(compare(dxz, bound) is not HyperOrder.GREATER,
                        _counterexample(x, y, z, dxz, bound))
     return [identity.result(), symmetry.result(), triangle.result()]
 
@@ -184,7 +183,7 @@ def _suite_partition(graph, rng: random.Random,
             cap = natural_sum(vxy.certified_bound, vyz.certified_bound)
             additive.check(vxz.relation is GalaxyRelation.SAME
                            and compare(vxz.certified_bound, cap)
-                           is not Comparison.GREATER,
+                           is not HyperOrder.GREATER,
                            _counterexample(x.describe(), y.describe(),
                                            z.describe(), vxz))
         if (vxy.relation is GalaxyRelation.SAME

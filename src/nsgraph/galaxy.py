@@ -22,20 +22,17 @@ from .ordinal import Ordinal
 from .sequences import (
     Aff,
     Affine,
-    BoundedGrowth,
+    Cls,
     Composed,
     Constant,
     Explicit,
     Graded,
     IndexSequence,
     MonotoneUnboundedDecl,
-    MonotoneUnboundedGrowth,
     Opaque,
     Patched,
-    SplitGrowth,
     SymInt,
     classify,
-    growth_class,
     sym_start,
     sym_sub,
     sym_value,
@@ -86,30 +83,35 @@ class GalaxyVerdict:
             raise ValueError("a same-galaxy verdict must carry a bound")
 
 
-def _rank0_verdict(finite: SymInt) -> GalaxyVerdict:
-    g = growth_class(finite)
-    if isinstance(g, BoundedGrowth):
-        return GalaxyVerdict(GalaxyRelation.SAME, Ordinal(0, g.bound), g.tight)
-    if isinstance(g, MonotoneUnboundedGrowth):
+def _unlimited_verdict(c: Cls, what: str) -> GalaxyVerdict:
+    """Verdict for a class not bounded on both branches."""
+    even, odd = c.branches
+    if "unknown" in (even.kind, odd.kind):
+        raise IndeterminateError(f"{what} class is indeterminate")
+    if c.diverges:
         return GalaxyVerdict(GalaxyRelation.DIFFERENT)
-    if isinstance(g, SplitGrowth):
-        return GalaxyVerdict(GalaxyRelation.FILTER_DEPENDENT)
-    raise IndeterminateError("distance generator class is indeterminate")
+    return GalaxyVerdict(GalaxyRelation.FILTER_DEPENDENT)
+
+
+def _rank0_verdict(finite: SymInt) -> GalaxyVerdict:
+    c = classify(finite)
+    magnitude = c.magnitude
+    if magnitude is None:
+        return _unlimited_verdict(c, "distance generator")
+    bound, tight = magnitude
+    return GalaxyVerdict(GalaxyRelation.SAME, Ordinal(0, bound), tight)
 
 
 def _rank1_verdict(omega: SymInt, finite: SymInt) -> GalaxyVerdict:
-    g = growth_class(omega)
-    if isinstance(g, BoundedGrowth):
-        c = classify(finite)
-        if c.kind == "range" and c.exact and c.lo == 0:
-            return GalaxyVerdict(GalaxyRelation.SAME, Ordinal(g.bound, 0), g.tight)
-        # a positive finite part pushes the certified cap one omega step up
-        return GalaxyVerdict(GalaxyRelation.SAME, Ordinal(g.bound + 1, 0), False)
-    if isinstance(g, MonotoneUnboundedGrowth):
-        return GalaxyVerdict(GalaxyRelation.DIFFERENT)
-    if isinstance(g, SplitGrowth):
-        return GalaxyVerdict(GalaxyRelation.FILTER_DEPENDENT)
-    raise IndeterminateError("omega coefficient class is indeterminate")
+    c = classify(omega)
+    magnitude = c.magnitude
+    if magnitude is None:
+        return _unlimited_verdict(c, "omega coefficient")
+    bound, tight = magnitude
+    if classify(finite).value == 0:
+        return GalaxyVerdict(GalaxyRelation.SAME, Ordinal(bound, 0), tight)
+    # a positive finite part pushes the certified cap one omega step up
+    return GalaxyVerdict(GalaxyRelation.SAME, Ordinal(bound + 1, 0), False)
 
 
 def limitedly_distant(x: Hypernode, y: Hypernode) -> GalaxyVerdict:
@@ -135,28 +137,17 @@ def in_principal_galaxy(x: Hypernode) -> GalaxyVerdict:
 
 # ====== Closeness order ======
 
-def _strict_gap_side(c) -> bool | None:
-    if c.kind == "pinf":
-        return True
-    if c.kind == "ninf" or c.kind == "range":
-        return False
-    return None
-
-
 def _unbounded_gap(diff: SymInt) -> Trivalent:
     """Does diff exceed every bound on a filter-large set?"""
     c = classify(diff)
-    if c.kind == "split":
-        e, o = _strict_gap_side(c.even), _strict_gap_side(c.odd)
-        if e is None or o is None:
-            raise IndeterminateError("gap class is indeterminate on one parity")
-        if e == o:
-            return Trivalent.TRUE if e else Trivalent.FALSE
+    even, odd = c.branches
+    if "unknown" in (even.kind, odd.kind):
+        where = " on one parity" if c.kind == "split" else ""
+        raise IndeterminateError(f"gap class is indeterminate{where}")
+    up_even, up_odd = even.kind == "pinf", odd.kind == "pinf"
+    if up_even != up_odd:
         return Trivalent.FILTER_DEPENDENT
-    side = _strict_gap_side(c)
-    if side is None:
-        raise IndeterminateError("gap class is indeterminate")
-    return Trivalent.TRUE if side else Trivalent.FALSE
+    return Trivalent.TRUE if up_even else Trivalent.FALSE
 
 
 def closer_than(base: Hypernode, y: Hypernode, z: Hypernode) -> Trivalent:

@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple
 from . import sequences as sq
 from .kernel import TruthSet, cofinite_set, finite_set, intersect
 from .sequences import (Aff, IndexSequence, Opaque, SymInt, classify,
-                        eq_const_truthset, parity_sym, sym_abs, sym_add,
+                        eq_const_truthset, per_parity, sym_abs, sym_add,
                         sym_start, sym_sub, zone_by_magnitude)
 
 
@@ -278,15 +278,6 @@ def bfs_distance(graph: GraphInstance, x, y, budget: int = DEFAULT_BUDGET) -> in
     if a.done and b.done:
         raise UnreachableError(f"no path between {x!r} and {y!r}")
     return EXHAUSTED
-
-
-# ====== Symbolic helpers shared by families ======
-
-def _const_value(sym: SymInt) -> int | None:
-    c = classify(sym)
-    if c.kind == "range" and c.exact:
-        return c.lo
-    return None
 
 
 # ====== Families ======
@@ -612,7 +603,7 @@ class PerturbedGrid(Grid2D):
 
     def symbolic_distance(self, ta, tb):
         syms = ta.param_syms() + tb.param_syms()
-        consts = [_const_value(s) for s in syms]
+        consts = [classify(s).value for s in syms]
         if all(c is not None for c in consts):
             d = self.distance(GridNode(consts[0], consts[1]), GridNode(consts[2], consts[3]))
             if isinstance(d, Exhausted):
@@ -620,20 +611,15 @@ class PerturbedGrid(Grid2D):
             start = max(sym_start(s) for s in syms)
             return Aff(0, d, start)
         pure = super().symbolic_distance(ta, tb)
-        return self._widen(pure, self.term_distance_fn(ta, tb))
+        return per_parity(self._widen, pure, self.term_distance_fn(ta, tb))
 
     def _widen(self, pure: SymInt, fn) -> SymInt | None:
-        if isinstance(pure, sq.ParityS):
-            e = self._widen(pure.even, fn)
-            o = self._widen(pure.odd, fn)
-            if e is None or o is None:
-                return None
-            return parity_sym(e, o)
+        """One parity branch of the pristine distance, bracketed by the edits."""
         c = classify(pure)
         start = sym_start(pure)
         if c.kind == "pinf":
             return Opaque(fn, to_pinf=True, start=start)
-        if c.kind == "range" and c.exact and c.hi == 0:
+        if c.value == 0:
             return pure  # the same node: no edit changes d(x, x) = 0
         if c.kind == "range":
             return Opaque(fn, lo=max(0, c.lo - self.max_shortcut),
@@ -642,7 +628,7 @@ class PerturbedGrid(Grid2D):
 
     def adjacency_truthset(self, ta, tb):
         syms = ta.param_syms() + tb.param_syms()
-        consts = [_const_value(s) for s in syms]
+        consts = [classify(s).value for s in syms]
         if all(c is not None for c in consts):
             a, b = GridNode(consts[0], consts[1]), GridNode(consts[2], consts[3])
             adjacent = b in set(self.neighbors(a))

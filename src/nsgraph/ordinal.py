@@ -13,10 +13,14 @@ import re
 from dataclasses import dataclass
 
 
-class Comparison(enum.Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
+class HyperOrder(enum.Enum):
+    """Order of two values; FILTER_DEPENDENT when two ordinal-valued points
+    are ordered one way on the even indices and the other way on the odd."""
+
+    LESS = "less"
+    EQUAL = "equal"
+    GREATER = "greater"
+    FILTER_DEPENDENT = "filter-dependent"
 
 
 @dataclass(frozen=True, order=True)
@@ -59,10 +63,10 @@ def natural_sum(a: Ordinal, b: Ordinal) -> Ordinal:
     return a + b
 
 
-def compare(a: Ordinal, b: Ordinal) -> Comparison:
+def compare(a: Ordinal, b: Ordinal) -> HyperOrder:
     if a == b:
-        return Comparison.EQUAL
-    return Comparison.LESS if a < b else Comparison.GREATER
+        return HyperOrder.EQUAL
+    return HyperOrder.LESS if a < b else HyperOrder.GREATER
 
 
 def render_ordinal(o: Ordinal) -> str:

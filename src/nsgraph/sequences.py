@@ -11,6 +11,14 @@ value, nonnegative scaling.
 Symbolic semantics are cofinite: a SymInt describes the sequence for all but
 finitely many n (never before its `start`).  Finite perturbations of a
 sequence therefore leave its symbolic form, and hence every verdict, intact.
+
+`classify` gives each SymInt one eventual-behaviour class, `Cls`: a range,
+divergence to either side, unknown, or a parity split of two of these.
+Every verdict reads that class per parity branch (`Cls.branches`): the
+exact value, the magnitude bound (galaxies), the sign (order) or upward
+divergence (closeness gaps).  `per_parity` owns the matching rule for
+symbolic forms: split the `ParityS` arguments, work on each branch, fail
+when a branch fails, rejoin.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .kernel import TruthSet
+from .ordinal import HyperOrder
 
 VALIDATION_HORIZON = 512
 
@@ -265,8 +274,6 @@ class Graded:
 
 SymInt = Aff | ParityS | Opaque | Graded
 
-SYM_ZERO = Aff(0, 0)
-
 
 def sym_value(sym: SymInt, n: int) -> int:
     if isinstance(sym, Aff):
@@ -307,6 +314,21 @@ def _branch(sym: SymInt, side: str) -> SymInt:
     return sym
 
 
+def per_parity(fn: Callable, *args, join: Callable = parity_sym):
+    """fn(*args), taken on each parity branch when an argument is a ParityS.
+
+    Other arguments reach both branches unchanged.  The two results are
+    rejoined by `join`; when either branch gives None, so does the whole.
+    """
+    if not any([isinstance(a, ParityS) for a in args]):
+        return fn(*args)
+    even = fn(*[_branch(a, "even") for a in args])
+    odd = fn(*[_branch(a, "odd") for a in args])
+    if even is None or odd is None:
+        return None
+    return join(even, odd)
+
+
 def _combine_fn(op: Callable[[int, int], int],
                 f: Callable[[int], int] | None,
                 g: Callable[[int], int] | None) -> Callable[[int], int] | None:
@@ -328,6 +350,49 @@ class Cls:
     even: "Cls | None" = None
     odd: "Cls | None" = None
 
+    @property
+    def branches(self) -> tuple["Cls", "Cls"]:
+        """The classes on even and on odd indices."""
+        if self.kind == "split":
+            return self.even, self.odd
+        return self, self
+
+    @property
+    def value(self) -> int | None:
+        """The eventual constant, or None when the class certifies none."""
+        return self.lo if self.exact else None
+
+    @property
+    def magnitude(self) -> tuple[int, bool] | None:
+        """(bound, tight): |v_n| <= bound on both branches, and tight when
+        |v_n| equals it there; None unless both branches are ranges."""
+        even, odd = self.branches
+        if even.kind != "range" or odd.kind != "range":
+            return None
+        be, bo = max(abs(even.lo), abs(even.hi)), max(abs(odd.lo), abs(odd.hi))
+        return max(be, bo), even.exact and odd.exact and be == bo
+
+    @property
+    def diverges(self) -> bool:
+        """|v_n| exceeds every bound on both branches."""
+        even, odd = self.branches
+        return even.kind in ("pinf", "ninf") and odd.kind in ("pinf", "ninf")
+
+    @property
+    def sign(self) -> HyperOrder | None:
+        """Eventual sign of one branch; None when the class cannot tell."""
+        if self.kind == "pinf":
+            return HyperOrder.GREATER
+        if self.kind == "ninf":
+            return HyperOrder.LESS
+        if self.kind != "range":
+            return None
+        if self.lo > 0:
+            return HyperOrder.GREATER
+        if self.hi < 0:
+            return HyperOrder.LESS
+        return HyperOrder.EQUAL if self.exact else None
+
 
 UNKNOWN = Cls("unknown")
 PINF = Cls("pinf")
@@ -346,7 +411,8 @@ def classify(sym: SymInt) -> Cls:
             return NINF
         return _range(sym.b, sym.b, exact=True)
     if isinstance(sym, ParityS):
-        e, o = classify(sym.even), classify(sym.odd)
+        # a branch is read on its own parity only, so a nested split flattens
+        e, o = classify(sym.even).branches[0], classify(sym.odd).branches[1]
         if e == o:
             return e
         return Cls("split", even=e, odd=o)
@@ -362,10 +428,6 @@ def classify(sym: SymInt) -> Cls:
 
 
 def _cls_add(x: Cls, y: Cls) -> Cls:
-    if x.kind == "split" or y.kind == "split":
-        return Cls("split",
-                   even=_cls_add(_cls_branch(x, "even"), _cls_branch(y, "even")),
-                   odd=_cls_add(_cls_branch(x, "odd"), _cls_branch(y, "odd")))
     if x.kind == "unknown" or y.kind == "unknown":
         return UNKNOWN
     if x.kind == "pinf":
@@ -377,18 +439,10 @@ def _cls_add(x: Cls, y: Cls) -> Cls:
     return _range(x.lo + y.lo, x.hi + y.hi, x.exact and y.exact)
 
 
-def _cls_branch(c: Cls, side: str) -> Cls:
-    if c.kind == "split":
-        return c.even if side == "even" else c.odd
-    return c
-
-
 def _from_cls(c: Cls, fn: Callable[[int], int] | None, start: int) -> SymInt:
-    if c.kind == "split":
-        return ParityS(_from_cls(c.even, fn, start), _from_cls(c.odd, fn, start))
+    if c.value is not None:
+        return Aff(0, c.value, start)
     if c.kind == "range":
-        if c.exact:
-            return Aff(0, c.lo, start)
         return Opaque(fn, lo=c.lo, hi=c.hi, start=start)
     if c.kind == "pinf":
         return Opaque(fn, to_pinf=True, start=start)
@@ -403,7 +457,7 @@ def sym_neg(x: SymInt) -> SymInt:
     if isinstance(x, Aff):
         return Aff(-x.a, -x.b, x.start)
     if isinstance(x, ParityS):
-        return parity_sym(sym_neg(x.even), sym_neg(x.odd))
+        return per_parity(sym_neg, x)
     fn = None if _fn_of(x) is None else (lambda n, f=_fn_of(x): -f(n))
     c = classify(x)
     neg = {"pinf": NINF, "ninf": PINF}.get(c.kind)
@@ -417,20 +471,14 @@ def sym_neg(x: SymInt) -> SymInt:
 def _fn_of(x: SymInt) -> Callable[[int], int] | None:
     if isinstance(x, Aff):
         return lambda n: x.a * n + x.b
-    if isinstance(x, ParityS):
-        fe, fo = _fn_of(x.even), _fn_of(x.odd)
-        if fe is None or fo is None:
-            return None
-        return lambda n: fe(n) if n % 2 == 0 else fo(n)
     return x.fn
 
 
 def sym_add(x: SymInt, y: SymInt) -> SymInt:
-    if isinstance(x, ParityS) or isinstance(y, ParityS):
-        return parity_sym(sym_add(_branch(x, "even"), _branch(y, "even")),
-                          sym_add(_branch(x, "odd"), _branch(y, "odd")))
     if isinstance(x, Aff) and isinstance(y, Aff):
         return Aff(x.a + y.a, x.b + y.b, max(x.start, y.start))
+    if isinstance(x, ParityS) or isinstance(y, ParityS):
+        return per_parity(sym_add, x, y)
     start = max(sym_start(x), sym_start(y))
     fn = _combine_fn(lambda a, b: a + b, _fn_of(x), _fn_of(y))
     return _from_cls(_cls_add(classify(x), classify(y)), fn, start)
@@ -458,7 +506,7 @@ def sym_abs(x: SymInt) -> SymInt:
             return sym_abs(sym_neg(x))
         return Aff(0, abs(x.b), x.start)
     if isinstance(x, ParityS):
-        return parity_sym(sym_abs(x.even), sym_abs(x.odd))
+        return per_parity(sym_abs, x)
     c = classify(x)
     fn = None if _fn_of(x) is None else (lambda n, f=_fn_of(x): abs(f(n)))
     if c.kind in ("pinf", "ninf"):
@@ -478,7 +526,7 @@ def sym_scale(k: int, x: SymInt) -> SymInt:
     if isinstance(x, Aff):
         return Aff(k * x.a, k * x.b, x.start)
     if isinstance(x, ParityS):
-        return parity_sym(sym_scale(k, x.even), sym_scale(k, x.odd))
+        return per_parity(sym_scale, k, x)
     if k == 0:
         return Aff(0, 0, sym_start(x))
     c = classify(x)
@@ -488,60 +536,7 @@ def sym_scale(k: int, x: SymInt) -> SymInt:
     return _from_cls(c, fn, sym_start(x))
 
 
-# ====== Growth classes (public face of classification) ======
-
-@dataclass(frozen=True)
-class BoundedGrowth:
-    bound: int
-    tight: bool = False
-
-
-@dataclass(frozen=True)
-class MonotoneUnboundedGrowth:
-    """Certified to exceed every bound from some point on."""
-
-
-@dataclass(frozen=True)
-class SplitGrowth:
-    even: "GrowthClass"
-    odd: "GrowthClass"
-
-
-@dataclass(frozen=True)
-class IndeterminateGrowth:
-    pass
-
-
-GrowthClass = BoundedGrowth | MonotoneUnboundedGrowth | SplitGrowth | IndeterminateGrowth
-
-MONOTONE_UNBOUNDED = MonotoneUnboundedGrowth()
-INDETERMINATE = IndeterminateGrowth()
-
-
-def growth_class(sym: SymInt) -> GrowthClass:
-    """Growth class of the magnitude |v_n| of a classified sequence."""
-    return _growth_from_cls(classify(sym))
-
-
-def _growth_from_cls(c: Cls) -> GrowthClass:
-    if c.kind in ("pinf", "ninf"):
-        return MONOTONE_UNBOUNDED
-    if c.kind == "range":
-        return BoundedGrowth(max(abs(c.lo), abs(c.hi)), tight=c.exact)
-    if c.kind == "split":
-        e, o = _growth_from_cls(c.even), _growth_from_cls(c.odd)
-        if isinstance(e, BoundedGrowth) and isinstance(o, BoundedGrowth):
-            return BoundedGrowth(max(e.bound, o.bound),
-                                 tight=e.tight and o.tight and e.bound == o.bound)
-        if isinstance(e, MonotoneUnboundedGrowth) and isinstance(o, MonotoneUnboundedGrowth):
-            return MONOTONE_UNBOUNDED
-        if isinstance(e, IndeterminateGrowth) or isinstance(o, IndeterminateGrowth):
-            return INDETERMINATE
-        return SplitGrowth(e, o)
-    return INDETERMINATE
-
-
-# ====== Truth sets and order patterns from symbolic deltas ======
+# ====== Truth sets from symbolic deltas ======
 
 def eq_truthset(delta: SymInt) -> TruthSet | None:
     """Classification of {n : delta(n) == 0}, or None when unclassifiable.
@@ -550,14 +545,7 @@ def eq_truthset(delta: SymInt) -> TruthSet | None:
     them, so an affine delta contributes its root, not just its start.
     """
     if isinstance(delta, ParityS):
-        e = eq_truthset(delta.even)
-        o = eq_truthset(delta.odd)
-        if e is None or o is None:
-            return None
-        t = max(e.threshold, o.threshold)
-        if e.kind == o.kind:
-            return TruthSet(e.kind, t)
-        return TruthSet("split", t, even_true=(e.kind == "cofinite"))
+        return per_parity(eq_truthset, delta, join=_parity_truthset)
     if isinstance(delta, Aff):
         if delta.a == 0:
             return TruthSet("cofinite" if delta.b == 0 else "finite", delta.start)
@@ -572,32 +560,11 @@ def eq_truthset(delta: SymInt) -> TruthSet | None:
     return None
 
 
-def order_pattern(delta: SymInt) -> object:
-    """Eventual sign of delta: "less"/"equal"/"greater", ("split", e, o), or None."""
-    return _order_from_cls(classify(delta))
-
-
-def _order_from_cls(c: Cls) -> object:
-    if c.kind == "pinf":
-        return "greater"
-    if c.kind == "ninf":
-        return "less"
-    if c.kind == "range":
-        if c.exact:
-            return "equal" if c.lo == 0 else ("greater" if c.lo > 0 else "less")
-        if c.lo > 0:
-            return "greater"
-        if c.hi < 0:
-            return "less"
-        return None
-    if c.kind == "split":
-        e, o = _order_from_cls(c.even), _order_from_cls(c.odd)
-        if e is None or o is None:
-            return None
-        if e == o:
-            return e
-        return ("split", e, o)
-    return None
+def _parity_truthset(even: TruthSet, odd: TruthSet) -> TruthSet:
+    t = max(even.threshold, odd.threshold)
+    if even.kind == odd.kind:
+        return TruthSet(even.kind, t)
+    return TruthSet("split", t, even_true=(even.kind == "cofinite"))
 
 
 def eq_const_truthset(sym: SymInt, value: int) -> TruthSet | None:
@@ -611,16 +578,10 @@ def zone_by_magnitude(delta: SymInt, images: tuple[int, int, int]) -> SymInt | N
     Returns None when the classification cannot separate the zones; callers
     fall back to a bounded opaque form instead of guessing.
     """
-    return _zone_from(sym_abs(delta), images)
+    return per_parity(_zone_from, sym_abs(delta), images)
 
 
 def _zone_from(mag: SymInt, images: tuple[int, int, int]) -> SymInt | None:
-    if isinstance(mag, ParityS):
-        e = _zone_from(mag.even, images)
-        o = _zone_from(mag.odd, images)
-        if e is None or o is None:
-            return None
-        return parity_sym(e, o)
     c = classify(mag)
     start = sym_start(mag)
     if c.kind == "pinf":
@@ -629,9 +590,8 @@ def _zone_from(mag: SymInt, images: tuple[int, int, int]) -> SymInt | None:
             settle = max(start, -((mag.b - 2) // mag.a))
             return Aff(0, images[2], settle)
         return None  # divergence without a computable settle point
-    if c.kind == "range":
-        if c.exact:
-            return Aff(0, images[min(c.lo, 2)], start)
-        if c.lo >= 2:
-            return Aff(0, images[2], start)  # brackets hold pointwise
+    if c.value is not None:
+        return Aff(0, images[min(c.value, 2)], start)
+    if c.kind == "range" and c.lo >= 2:
+        return Aff(0, images[2], start)  # brackets hold pointwise
     return None

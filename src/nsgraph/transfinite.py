@@ -64,10 +64,10 @@ from typing import Callable, Iterator, NamedTuple
 from .graphs import (NodeTerm, NotAMemberError, UnreachableError, natkey)
 from .kernel import TruthSet, finite_set, intersect
 from .ordinal import ZERO, Ordinal
-from .sequences import (Aff, Constant, Opaque, Parity, ParityS, SymInt, bump_start,
+from .sequences import (Aff, Constant, Opaque, Parity, SymInt, bump_start,
                         classify, eq_const_truthset, eq_truthset, parity_sym,
-                        sym_abs, sym_add, sym_scale, sym_start, sym_sub,
-                        sym_value, zone_by_magnitude)
+                        per_parity, sym_abs, sym_add, sym_scale, sym_start,
+                        sym_sub, sym_value, zone_by_magnitude)
 
 DEFAULT_WINDOW_MARGIN = 2
 SEARCH_POP_BUDGET = 20_000
@@ -184,22 +184,20 @@ def _abs_scaled(delta: SymInt, factor: int) -> SymInt:
     return sym_scale(factor, sym_abs(delta))
 
 
-def _updown(delta: SymInt, up: tuple[int, int], down: tuple[int, int],
-            fn: Callable[[int], int] | None = None) -> SymInt | None:
+def _updown(delta: SymInt, up: tuple[int, int], down: tuple[int, int]) -> SymInt | None:
     """Piecewise-linear in delta: up[0]*d+up[1] when d >= 1, down[0]*|d|+down[1] otherwise."""
     value = lambda d: up[0] * d + up[1] if d >= 1 else down[0] * (-d) + down[1]
-    if fn is None:
-        fn = lambda n: value(sym_value(delta, n))
-    if isinstance(delta, ParityS):
-        e = _updown(delta.even, up, down, fn)
-        o = _updown(delta.odd, up, down, fn)
-        if e is None or o is None:
-            return None
-        return parity_sym(e, o)
+    # one evaluator for both branches, so branches of one class stay one form
+    return per_parity(_piecewise, delta, value, lambda n: value(sym_value(delta, n)))
+
+
+def _piecewise(delta: SymInt, value: Callable[[int], int],
+               fn: Callable[[int], int]) -> SymInt | None:
+    """value(delta) on one parity branch of delta; fn evaluates the whole sequence."""
     c = classify(delta)
     start = sym_start(delta)
-    if c.kind == "range" and c.exact:
-        return Aff(0, value(c.lo), start)
+    if c.value is not None:
+        return Aff(0, value(c.value), start)
     if c.kind in ("pinf", "ninf"):
         return Opaque(fn, to_pinf=True, start=start)
     if c.kind == "range":
@@ -243,20 +241,16 @@ def _series_one_sym(ta: NodeTerm, tb: NodeTerm) -> tuple[SymInt, SymInt] | None:
     return omega, Aff(0, 0, sym_start(delta))
 
 
-def _sym_min(forms: list[SymInt | None]) -> SymInt | None:
-    """Indexwise minimum of eventually constant forms, parity branch by branch."""
+def _sym_min(*forms: SymInt | None) -> SymInt | None:
+    """Indexwise minimum of eventually constant forms on one parity branch."""
     if len(forms) == 1:
         return forms[0]
     if any(f is None for f in forms):
         return None
-    if any(isinstance(f, ParityS) for f in forms):
-        even = _sym_min([f.even if isinstance(f, ParityS) else f for f in forms])
-        odd = _sym_min([f.odd if isinstance(f, ParityS) else f for f in forms])
-        return None if even is None or odd is None else parity_sym(even, odd)
-    classes = [classify(f) for f in forms]
-    if all(c.kind == "range" and c.exact for c in classes):
-        return Aff(0, min(c.lo for c in classes), max(sym_start(f) for f in forms))
-    return None
+    values = [classify(f).value for f in forms]
+    if None in values:
+        return None
+    return Aff(0, min(values), max(sym_start(f) for f in forms))
 
 
 def _by_parity(form: Callable[[NodeTerm, NodeTerm], tuple[SymInt, SymInt] | None],
@@ -610,9 +604,9 @@ def wdistance(g: OneGraph, x, y, margin: int = DEFAULT_WINDOW_MARGIN) -> Ordinal
         return Ordinal(0, g.section_distance(x, y))
     pair = g.symbolic_wdistance(g.node_term(x), g.node_term(y))
     if pair is not None:
-        omega, finite = classify(pair[0]), classify(pair[1])
-        if omega.kind == finite.kind == "range" and omega.exact and finite.exact:
-            return Ordinal(omega.lo, finite.lo)
+        omega, finite = classify(pair[0]).value, classify(pair[1]).value
+        if omega is not None and finite is not None:
+            return Ordinal(omega, finite)
     total, _ = wdistance_witness(g, x, y, margin)
     return total
 
@@ -897,8 +891,9 @@ class LadderOfEndlessPaths(OneGraph):
         start = max([0] + [sym_start(s) for s in syms_a + syms_b])
         # each 0-node endpoint pays w to reach a tip of its section
         ends = (ta.ctor in ("v", "h")) + (tb.ctor in ("v", "h"))
-        gap = _sym_min([self._tip_gap(i, j) for i in self._tips(ta.ctor, syms_a)
-                        for j in self._tips(tb.ctor, syms_b)])
+        gaps = [self._tip_gap(i, j) for i in self._tips(ta.ctor, syms_a)
+                for j in self._tips(tb.ctor, syms_b)]
+        gap = per_parity(_sym_min, *gaps)
         if gap is None:
             return None
         omega = sym_add(gap, Aff(0, ends)) if ends else gap
@@ -1022,8 +1017,8 @@ class PartialLadderOfEndlessPaths(OneGraph):
         if tb.ctor == "x1":
             k, m = ta.param_syms()[0], tb.param_syms()[0]
             # nearest 1-node of section h_k is x1_k or x1_{k+1}
-            fin = _sym_min([zone_by_magnitude(sym_sub(m, k), (0, 2, 2)),
-                            zone_by_magnitude(sym_sub(m, sym_add(k, Aff(0, 1))), (0, 2, 2))])
+            fin = per_parity(_sym_min, zone_by_magnitude(sym_sub(m, k), (0, 2, 2)),
+                             zone_by_magnitude(sym_sub(m, sym_add(k, Aff(0, 1))), (0, 2, 2)))
             if fin is None:
                 return None
             return Aff(0, 1, start), fin

@@ -11,7 +11,6 @@ contradiction instead of a silently wrong verdict.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -27,17 +26,15 @@ from .kernel import (
     in_filter,
     intersect,
 )
-from .ordinal import Comparison, Ordinal, compare
+from .ordinal import HyperOrder, Ordinal, compare
 from .sequences import (
     Aff,
-    MonotoneUnboundedGrowth,
     Opaque,
-    ParityS,
     SymInt,
+    classify,
     eq_const_truthset,
     eq_truthset,
-    growth_class,
-    order_pattern,
+    per_parity,
     perturb_sequence,
     sym_start,
     sym_sub,
@@ -144,7 +141,7 @@ def is_standard(h: Hypernode, horizon: int = DEFAULT_HORIZON) -> Trivalent:
         for s, v in zip(syms, cand):
             per = eq_const_truthset(s, v)
             if per is None:
-                if isinstance(growth_class(s), MonotoneUnboundedGrowth):
+                if classify(s).diverges:
                     # a diverging coordinate meets any constant finitely often
                     per = finite_set(sym_start(s))
                 else:
@@ -198,45 +195,8 @@ def hyperordinal_from_syms(omega: SymInt, finite: SymInt) -> Hyperordinal:
         lambda n: Ordinal(sym_value(omega, n), sym_value(finite, n)), omega, finite)
 
 
-class HyperOrder(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    FILTER_DEPENDENT = "filter-dependent"
-
-
-_DEFINITE = {
-    "less": HyperOrder.LESS,
-    "equal": HyperOrder.EQUAL,
-    "greater": HyperOrder.GREATER,
-}
-
-_POINTWISE = {
-    HyperOrder.LESS: Comparison.LESS,
-    HyperOrder.EQUAL: Comparison.EQUAL,
-    HyperOrder.GREATER: Comparison.GREATER,
-}
-
-
-def _pattern_branch(pattern, parity: int) -> str:
-    if isinstance(pattern, tuple):
-        return pattern[1 + parity]
-    return pattern
-
-
-def _lex_verdict(omega_sign: str, finite_sign: str) -> HyperOrder:
-    if omega_sign != "equal":
-        return _DEFINITE[omega_sign]
-    return _DEFINITE[finite_sign]
-
-
 def _settle_index(sym: SymInt) -> int | None:
-    """Index past which an affine-built delta provably keeps its sign."""
-    if isinstance(sym, ParityS):
-        e, o = _settle_index(sym.even), _settle_index(sym.odd)
-        if e is None or o is None:
-            return None
-        return max(e, o)
+    """Index past which an affine delta on one parity branch keeps its sign."""
     if isinstance(sym, Aff):
         if sym.a == 0:
             return sym.start
@@ -247,23 +207,27 @@ def _settle_index(sym: SymInt) -> int | None:
 
 def compare_hyperordinals(a: Hyperordinal, b: Hyperordinal,
                           horizon: int = DEFAULT_HORIZON) -> HyperOrder:
-    """Lexicographic order of two ordinal-valued points, branch by parity."""
+    """Lexicographic order of two ordinal-valued points, branch by parity.
+
+    On each branch the omega delta's sign decides, and the finite delta's
+    sign is read only where omega ties.
+    """
     d_omega = sym_sub(a.omega, b.omega)
     d_finite = sym_sub(a.finite, b.finite)
-    p_omega = order_pattern(d_omega)
-    p_finite = order_pattern(d_finite)
-    if p_omega is None or p_finite is None:
+    omega, finite = classify(d_omega), classify(d_finite)
+    even, odd = [o.sign if o.sign is not HyperOrder.EQUAL else f.sign
+                 for o, f in zip(omega.branches, finite.branches)]
+    if even is None or odd is None:
         raise IndeterminateError("order of the component deltas is unclassifiable")
-    even = _lex_verdict(_pattern_branch(p_omega, 0), _pattern_branch(p_finite, 0))
-    odd = _lex_verdict(_pattern_branch(p_omega, 1), _pattern_branch(p_finite, 1))
     verdict = even if even == odd else HyperOrder.FILTER_DEPENDENT
     if verdict is not HyperOrder.FILTER_DEPENDENT:
-        s_omega, s_finite = _settle_index(d_omega), _settle_index(d_finite)
+        s_omega = per_parity(_settle_index, d_omega, join=max)
+        s_finite = per_parity(_settle_index, d_finite, join=max)
         if s_omega is not None and s_finite is not None:
             # past both settle points the claim is pointwise; check it there
             probe = max(s_omega, s_finite, horizon)
             hits = [compare(a.at(n), b.at(n)) for n in (probe, probe + 1)]
-            if any(c is not _POINTWISE[verdict] for c in hits):
+            if any(c is not verdict for c in hits):
                 raise EvidenceError(
                     f"claimed {verdict.value} but settled samples disagree: {hits}")
     return verdict

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from nsgraph.ordinal import (OMEGA, ZERO, Comparison, Ordinal, compare,
+from nsgraph.ordinal import (OMEGA, ZERO, HyperOrder, Ordinal, compare,
                              natural_sum, parse_ordinal, render_ordinal)
 
 
@@ -38,10 +38,10 @@ def test_natural_sum_laws_random():
 
 
 def test_order_is_lexicographic():
-    assert compare(Ordinal(0, 100), OMEGA) == Comparison.LESS
-    assert compare(OMEGA, Ordinal(0, 100)) == Comparison.GREATER
-    assert compare(Ordinal(2, 0), Ordinal(1, 50)) == Comparison.GREATER
-    assert compare(Ordinal(3, 4), Ordinal(3, 4)) == Comparison.EQUAL
+    assert compare(Ordinal(0, 100), OMEGA) == HyperOrder.LESS
+    assert compare(OMEGA, Ordinal(0, 100)) == HyperOrder.GREATER
+    assert compare(Ordinal(2, 0), Ordinal(1, 50)) == HyperOrder.GREATER
+    assert compare(Ordinal(3, 4), Ordinal(3, 4)) == HyperOrder.EQUAL
     assert Ordinal(1, 2) < Ordinal(1, 3) < Ordinal(2, 0)
 
 
@@ -50,12 +50,12 @@ def test_order_total_random():
     for _ in range(200):
         a = Ordinal(rng.randint(0, 5), rng.randint(0, 5))
         b = Ordinal(rng.randint(0, 5), rng.randint(0, 5))
-        verdicts = [compare(a, b) == Comparison.LESS,
-                    compare(a, b) == Comparison.EQUAL,
-                    compare(a, b) == Comparison.GREATER]
+        verdicts = [compare(a, b) == HyperOrder.LESS,
+                    compare(a, b) == HyperOrder.EQUAL,
+                    compare(a, b) == HyperOrder.GREATER]
         assert sum(verdicts) == 1
-        if compare(a, b) == Comparison.LESS:
-            assert compare(b, a) == Comparison.GREATER
+        if compare(a, b) == HyperOrder.LESS:
+            assert compare(b, a) == HyperOrder.GREATER
 
 
 def test_render_canonical():

@@ -10,16 +10,16 @@ import random
 import pytest
 
 from nsgraph.kernel import IndeterminateError
-from nsgraph.sequences import (Aff, Affine, BoundedDecl, BoundedGrowth,
-                               Composed, Constant, Explicit, Graded,
-                               MonotoneUnboundedDecl, MonotoneUnboundedGrowth,
+from nsgraph.ordinal import HyperOrder
+from nsgraph.sequences import (Aff, Affine, BoundedDecl, Composed, Constant,
+                               Explicit, Graded, MonotoneUnboundedDecl,
                                Opaque, Parity, ParityS, Patched,
-                               SequenceDeclarationError, SplitGrowth,
-                               classify, eq_truthset, growth_class,
-                               order_pattern, parity_sym, perturb_sequence,
+                               SequenceDeclarationError, classify,
+                               eq_truthset, parity_sym, perturb_sequence,
                                sym_abs, sym_add, sym_neg, sym_scale, sym_start,
                                sym_sub, sym_value, validate_declaration,
                                zone_by_magnitude)
+from nsgraph.ultrapower import compare_hyperordinals, hyperordinal_from_syms
 
 
 def test_sequence_values():
@@ -106,21 +106,26 @@ def test_classify_shapes():
     c = classify(Opaque(lambda n: n % 3, lo=0, hi=2))
     assert c.kind == "range" and (c.lo, c.hi) == (0, 2) and not c.exact
     assert classify(parity_sym(Aff(0, 1), Aff(1, 0))).kind == "split"
+    # a branch is read on its own parity only, also when built nested by hand
+    even, odd = classify(ParityS(ParityS(Aff(1, 0), Aff(0, 3)), Aff(0, 2))).branches
+    assert even.kind == "pinf" and odd.value == 2
 
 
 def test_growth_classes():
-    assert growth_class(Aff(1, 0)) == MonotoneUnboundedGrowth()
-    assert growth_class(Aff(0, 5)) == BoundedGrowth(5, tight=True)
-    assert growth_class(Aff(0, -3)) == BoundedGrowth(3, tight=True)
-    assert growth_class(Opaque(lambda n: n % 4, lo=0, hi=3)) == BoundedGrowth(3)
-    split = growth_class(parity_sym(Aff(0, 2), Aff(1, 0)))
-    assert isinstance(split, SplitGrowth)
-    assert isinstance(split.even, BoundedGrowth)
-    assert isinstance(split.odd, MonotoneUnboundedGrowth)
+    assert classify(Aff(1, 0)).diverges and classify(Aff(1, 0)).magnitude is None
+    assert classify(Aff(0, 5)).magnitude == (5, True)
+    assert classify(Aff(0, -3)).magnitude == (3, True)
+    assert classify(Opaque(lambda n: n % 4, lo=0, hi=3)).magnitude == (3, False)
+    split = classify(parity_sym(Aff(0, 2), Aff(1, 0)))
+    assert split.magnitude is None and not split.diverges
+    even, odd = split.branches
+    assert even.magnitude == (2, True)
+    assert odd.diverges
 
 
 def test_growth_class_magnitude_on_negative_divergence():
-    assert growth_class(sym_neg(Aff(1, 0))) == MonotoneUnboundedGrowth()
+    c = classify(sym_neg(Aff(1, 0)))
+    assert c.diverges and c.magnitude is None
 
 
 def test_eq_truthset():
@@ -133,12 +138,16 @@ def test_eq_truthset():
 
 
 def test_order_pattern():
-    assert order_pattern(Aff(1, 1)) == "greater"
-    assert order_pattern(sym_neg(Aff(1, 1))) == "less"
-    assert order_pattern(Aff(0, 0)) == "equal"
-    pattern = order_pattern(parity_sym(Aff(0, -2), Aff(1, 1)))
-    assert pattern == ("split", "less", "greater")
-    assert order_pattern(Opaque(lambda n: (-1) ** n, lo=-1, hi=1)) is None
+    assert classify(Aff(1, 1)).sign is HyperOrder.GREATER
+    assert classify(sym_neg(Aff(1, 1))).sign is HyperOrder.LESS
+    assert classify(Aff(0, 0)).sign is HyperOrder.EQUAL
+    split = classify(parity_sym(Aff(0, -2), Aff(1, 1)))
+    assert [b.sign for b in split.branches] == [HyperOrder.LESS, HyperOrder.GREATER]
+    wobble = Opaque(lambda n: (-1) ** n, lo=-1, hi=1)
+    assert classify(wobble).sign is None
+    with pytest.raises(IndeterminateError):
+        compare_hyperordinals(hyperordinal_from_syms(Aff(0, 0), wobble),
+                              hyperordinal_from_syms(Aff(0, 0), Aff(0, 0)))
 
 
 def test_graded_subtraction_certifies_order():

@@ -15,8 +15,9 @@ from nsgraph.graphs import FAMILIES, Exhausted, NodeTerm, NotAMemberError, make_
 from nsgraph.kernel import EvidenceError, IndeterminateError, Trivalent
 from nsgraph.ordinal import Ordinal, compare
 from nsgraph.sequences import (Aff, Affine, BoundedDecl, Constant, Explicit,
-                               MonotoneUnboundedDecl, Parity, Patched,
-                               SequenceDeclarationError, sym_start, sym_value)
+                               MonotoneUnboundedDecl, Opaque, Parity, Patched,
+                               SequenceDeclarationError, parity_sym, sym_start,
+                               sym_value)
 from nsgraph.transfinite import ONE_FAMILIES, make_one_graph, wdistance_witness
 from nsgraph.ultrapower import (AnchorProfile, HyperOrder, Hyperordinal,
                                 NotAHyperbranchError, compare_hyperordinals,
@@ -251,6 +252,21 @@ def test_compare_hyperordinals_indeterminate_and_tripwire():
     liar = Hyperordinal(lambda n: Ordinal(0, 1), Aff(0, 0), Aff(0, 5))
     with pytest.raises(EvidenceError):
         compare_hyperordinals(liar, hyperordinal_from_syms(Aff(0, 0), Aff(0, 3)))
+
+
+def test_compare_reads_the_finite_sign_only_where_omega_ties():
+    # the finite delta has no class, but omega differs on every parity branch
+    unclassified = Opaque(lambda n: n % 3, lo=0)
+    climbing = Hyperordinal(lambda n: Ordinal(n, n % 3), Aff(1, 0), unclassified)
+    one = hyperordinal_from_syms(Aff(0, 1), Aff(0, 0))
+    assert compare_hyperordinals(climbing, one) is HyperOrder.GREATER
+    assert compare_hyperordinals(one, climbing) is HyperOrder.LESS
+    split = Hyperordinal(lambda n: Ordinal(n % 2 * n, n % 3),
+                         parity_sym(Aff(0, 0), Aff(1, 0)), unclassified)
+    assert compare_hyperordinals(split, one) is HyperOrder.FILTER_DEPENDENT
+    # where omega ties, the finite sign is needed and refused
+    with pytest.raises(IndeterminateError):
+        compare_hyperordinals(Hyperordinal(climbing.fn, Aff(0, 1), unclassified), one)
 
 
 def test_one_disagreeing_probe_refutes_a_claimed_order():
