@@ -272,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed for every sampling suite (default 0)")
     parser.add_argument("--budget", type=int, default=200_000,
-                        help="neighbour reads allowed to a distance job's search")
+                        help="budget of a distance job: one unit per neighbour "
+                             "read of whichever search runs")
     parser.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
                         help="index horizon for pointwise evidence sweeps")
     return parser

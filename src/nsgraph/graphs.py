@@ -1,17 +1,20 @@
 """Infinite graphs presented by adjacency oracles.
 
 A family never materialises its node set.  Nodes are small structured ids,
-adjacency is a (possibly infinite) stream, and exact distances come from an
-installed closed form where one exists.  The budgeted search is bidirectional
-and item-interleaved so that a node of infinite degree (the ladder ground)
-consumes budget instead of hanging; it either certifies an exact answer or
-reports Exhausted, never a wrong number.
+adjacency is a (possibly infinite) stream, and exact distances come from a
+closed form, or on the edited grid from a Dijkstra over a finite compressed
+grid.  The budgeted bidirectional search is the oracle they are tested
+against; it is item-interleaved so that a node of infinite degree (the
+ladder ground) consumes budget instead of hanging, and it either certifies
+an exact answer or reports Exhausted, never a wrong number.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -155,11 +158,10 @@ class GraphInstance:
         raise UnsupportedOracleError(f"{self.family} has no closed-form distance")
 
     def distance(self, x, y, budget: int = DEFAULT_BUDGET) -> int | Exhausted:
+        """Exact distance; `budget` bounds the work of a family that searches."""
         self.require_member(x)
         self.require_member(y)
-        if self.has_closed_form:
-            return self.closed_form_distance(x, y)
-        return bfs_distance(self, x, y, budget)
+        return self.closed_form_distance(x, y)
 
     # -- terms --
     TERM_ARITY: dict[str, int] = {}
@@ -224,10 +226,13 @@ class _Side:
 
 
 def bfs_distance(graph: GraphInstance, x, y, budget: int = DEFAULT_BUDGET) -> int | Exhausted:
-    """Exact distance or Exhausted.
+    """Exact distance or Exhausted, by search over the adjacency streams.
 
-    One unit of budget is one neighbour read: each node that a side takes
-    from an adjacency stream, seen before or not, spends one unit.
+    No family answers `distance` with it: it is the oracle that closed forms
+    and `PerturbedGrid`'s compressed grid are tested against, and the
+    reference of the budget unit.  One unit of budget is one neighbour read:
+    each node that a side takes from an adjacency stream, seen before or not,
+    spends one unit.
 
     Expands both endpoints a neighbour at a time (round-robin), so infinite
     adjacency streams cannot starve the other side.  A meeting of the two
@@ -496,9 +501,44 @@ class Grid2D(GraphInstance):
 class PerturbedGrid(Grid2D):
     """Grid2D with finitely many branch insertions/deletions.
 
-    Connectivity and the detour/shortcut bounds are established once, by
-    explicit search inside the edit region plus a collar; outside that window
-    the graph is the pristine grid.
+    Distances are exact, from a Dijkstra over the compressed grid of the
+    query, a Hanan grid (Hanan 1966; de Rezende, Lee and Wu 1989).  Its
+    columns K are the k-coordinates of x and y and every edit endpoint's
+    k - 1, k and k + 1; its rows L are chosen the same way from the
+    l-coordinates.  Consecutive lines meet at a node of K x L and are joined
+    by a branch weighing their gap, except a gap-1 branch the edits remove;
+    each added branch weighs 1.
+
+    Why this is exact.  An edited branch joins two edit endpoints, so every
+    branch touching a line that holds no edit endpoint is pristine.
+    (1) The box.  No edit endpoint lies on column max K or beyond.  Clamping
+        a path's k to at most max K maps each step there to a pristine step
+        on column max K or to no step, so it never lengthens the path; the
+        same holds on the other three sides, and some shortest path between
+        x and y stays in [min K, max K] x [min L, max L].
+    (2) Columns.  A column c outside K holds no edit endpoint on c - 1, c or
+        c + 1, so in a maximal run of such columns neither the run nor the
+        two columns bounding it hold one.  Contract the run a column at a
+        time.  Let p and q be c's neighbour columns and w1, w2 the weights
+        of its branches to them; the vertical branches of p, c and q are all
+        present and c has no added branch.  A path stays on c from entering
+        at row r1 from p or q to leaving at row r2 for p or q, at a cost of
+        at least |r1 - r2| plus the weights of the two branches it crossed.
+        Running |r1 - r2| along the line it came from, then taking a new p-q
+        branch of weight w1 + w2 if it leaves on the other side, costs no
+        more, and each new branch is a path of its weight through c.  So
+        every distance between the remaining nodes is kept.
+    (3) Rows.  The same argument on the weighted grid of (2): a row outside
+        L and its two bounding rows hold no edit endpoint, so their
+        horizontal branches are all present with the same column gaps.
+    What is left is the compressed grid.  A branch of gap g > 1 is a
+    straight pristine run: its inner points are no edit endpoints, so none
+    of its steps is removed.
+
+    A query reads O(|edits|^2) neighbours at any separation; each read
+    spends one unit of `budget`, the unit of `bfs_distance`, which stays as
+    the oracle.  The edits are validated on the same grid, and the detour
+    bound sums d(a, b) - 1 over the removed branches.
     """
 
     family = "perturbed_grid"
@@ -520,8 +560,15 @@ class PerturbedGrid(Grid2D):
         for pair in self.removed:
             for node in pair:
                 self._removed_at.setdefault(node, set()).update(pair - {node})
+        ends = {n for pair in self.added | self.removed for n in pair}
+        self._cols = {n.k + d for n in ends for d in (-1, 0, 1)}
+        self._rows = {n.l + d for n in ends for d in (-1, 0, 1)}
         self._validate_edits()
-        self.max_shortcut, self.max_detour = self._edit_bounds()
+        grid = Grid2D()
+        self.max_shortcut = sum(max(0, grid.closed_form_distance(*tuple(p)) - 1)
+                                for p in self.added)
+        self.max_detour = sum(self.distance(*tuple(p), budget=math.inf) - 1
+                              for p in self.removed)
 
     # -- edit validation --
     def _validate_edits(self) -> None:
@@ -539,58 +586,72 @@ class PerturbedGrid(Grid2D):
                 raise EditValidationError(f"branch {a!r}-{b!r} already present")
         if self.added & self.removed:
             raise EditValidationError("a branch cannot be both added and removed")
-        if self.removed and not self._window_connected():
+        if self.removed and not self._connected():
             raise EditValidationError("edits disconnect the grid")
 
-    def _edit_nodes(self) -> list[GridNode]:
-        return [n for pair in (self.added | self.removed) for n in pair]
+    def _connected(self) -> bool:
+        """Whether every node of the compressed grid is reached from its corner.
 
-    def _window(self) -> tuple[int, int, int, int] | None:
-        nodes = self._edit_nodes()
-        if not nodes:
-            return None
-        margin = 3 + abs(max(n.k for n in nodes) - min(n.k for n in nodes)) \
-            + abs(max(n.l for n in nodes) - min(n.l for n in nodes))
-        return (min(n.k for n in nodes) - margin, max(n.k for n in nodes) + margin,
-                min(n.l for n in nodes) - margin, max(n.l for n in nodes) + margin)
+        The corner lies in the pristine half-plane left of every edit, on the
+        one infinite component.  Any other component is finite, and its node
+        of largest k lost its branch to k + 1, so it is an edit endpoint and
+        a node of the compressed grid, which keeps reachability by (1) to (3).
+        """
+        grid = self._compressed_grid(())
+        corner = min(grid)
+        seen, stack = {corner}, [corner]
+        while stack:
+            for v, _ in grid[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == len(grid)
 
-    def _window_bfs(self, source: GridNode) -> dict[GridNode, int]:
-        lo_k, hi_k, lo_l, hi_l = self._window()
-        dist = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.neighbors(u):
-                    if lo_k <= v.k <= hi_k and lo_l <= v.l <= hi_l and v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return dist
+    # -- distances --
+    def _compressed_grid(self, points) -> dict[GridNode, list[tuple[GridNode, int]]]:
+        """The compressed grid through `points` and the edits: node -> [(node, weight)]."""
+        cols = sorted(self._cols.union(p.k for p in points))
+        rows = sorted(self._rows.union(p.l for p in points))
+        grid: dict[GridNode, list[tuple[GridNode, int]]] = {
+            GridNode(k, l): [] for k in cols for l in rows}
 
-    def _window_connected(self) -> bool:
-        lo_k, hi_k, lo_l, hi_l = self._window()
-        dist = self._window_bfs(GridNode(lo_k, lo_l))
-        for n in self._edit_nodes():
-            if n not in dist:
-                return False
-        # a node survives only if it kept some branch
-        for n in {m for pair in self.removed for m in pair}:
-            if not any(True for _ in self.neighbors(n)):
-                return False
-        return True
+        def join(a: GridNode, b: GridNode, gap: int) -> None:
+            if gap > 1 or b not in self._removed_at.get(a, ()):
+                grid[a].append((b, gap))
+                grid[b].append((a, gap))
 
-    def _edit_bounds(self) -> tuple[int, int]:
-        grid = Grid2D()
-        shortcut = sum(max(0, grid.closed_form_distance(*tuple(p)) - 1) for p in self.added)
-        detour = 0
-        for pair in self.removed:
-            a, b = tuple(pair)
-            dist = self._window_bfs(a)
-            if b not in dist:
-                raise EditValidationError(f"no detour around removed branch {a!r}-{b!r}")
-            detour += dist[b] - 1
-        return shortcut, detour
+        for l in rows:
+            for k0, k1 in zip(cols, cols[1:]):
+                join(GridNode(k0, l), GridNode(k1, l), k1 - k0)
+        for k in cols:
+            for l0, l1 in zip(rows, rows[1:]):
+                join(GridNode(k, l0), GridNode(k, l1), l1 - l0)
+        for a, ends in self._added_at.items():
+            grid[a].extend((b, 1) for b in ends)
+        return grid
+
+    def distance(self, x, y, budget: int = DEFAULT_BUDGET) -> int | Exhausted:
+        """Dijkstra from x to y on their compressed grid; one unit per neighbour read."""
+        self.require_member(x)
+        self.require_member(y)
+        grid = self._compressed_grid((x, y))
+        dist = {x: 0}
+        heap = [(0, x)]
+        spent = 0
+        while heap:
+            d, u = heapq.heappop(heap)
+            if u == y:
+                return d
+            if d > dist[u]:
+                continue
+            for v, w in grid[u]:
+                if spent >= budget:
+                    return EXHAUSTED
+                spent += 1
+                if v not in dist or d + w < dist[v]:
+                    dist[v] = d + w
+                    heapq.heappush(heap, (d + w, v))
+        raise UnreachableError(f"no path between {x!r} and {y!r}")
 
     # -- structure --
     def neighbors(self, node) -> tuple[GridNode, ...]:

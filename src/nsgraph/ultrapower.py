@@ -191,8 +191,14 @@ class Hyperordinal:
 
 
 def hyperordinal_from_syms(omega: SymInt, finite: SymInt) -> Hyperordinal:
-    return Hyperordinal(
-        lambda n: Ordinal(sym_value(omega, n), sym_value(finite, n)), omega, finite)
+    """The point n -> w*omega(n) + finite(n); an index where a component is
+    negative has no ordinal, and reading it is refused."""
+    def at(n: int) -> Ordinal:
+        parts = sym_value(omega, n), sym_value(finite, n)
+        if min(parts) < 0:
+            raise IndeterminateError(f"components {parts} at index {n} are not naturals")
+        return Ordinal(*parts)
+    return Hyperordinal(at, omega, finite)
 
 
 def _settle_index(sym: SymInt) -> int | None:

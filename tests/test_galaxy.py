@@ -292,20 +292,26 @@ def test_konig_ray_routes_around_edits():
 
 
 def test_konig_ray_reads_shells_from_one_ball(monkeypatch):
-    searches = []
-    search = graphs.bfs_distance
+    queries, searches = [], []
+    search, exact = graphs.bfs_distance, graphs.PerturbedGrid.distance
 
-    def counted(*args, **kwargs):
+    def counted(self, *args, **kwargs):
+        queries.append(args[:2])
+        return exact(self, *args, **kwargs)
+
+    def searched(*args, **kwargs):
         searches.append(args[1:3])
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(graphs, "bfs_distance", counted)
     pert = make_family("perturbed_grid", edits=[
         {"op": "add", "a": [-1, -1], "b": [1, 1]},
         {"op": "remove", "a": [1, 0], "b": [1, 1]},
     ])
+    monkeypatch.setattr(graphs.PerturbedGrid, "distance", counted)
+    monkeypatch.setattr(graphs, "bfs_distance", searched)
     w = konig_ray_witness(pert)
-    assert len(searches) == 8  # the final exact-shell check, n = 0, 7, ..., 49
+    assert len(queries) == 8  # the final exact-shell check, n = 0, 7, ..., 49
+    assert searches == []  # the shells come from the ball, the check from the compressed grid
     for n in range(0, 60, 11):
         assert search(pert, pert.anchor(), node_at(w, n)) == n
 

@@ -6,8 +6,12 @@ with that oracle first.
 """
 
 import random
+from collections import defaultdict
 
+import networkx as nx
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nsgraph.graphs import (DEFAULT_BUDGET, EXHAUSTED, EditValidationError,
                             Exhausted, Grid2D, GridNode, Ground, LadderNode,
@@ -229,6 +233,147 @@ def test_perturbed_edit_bounds():
     # one added chord of grid length 4 and one removed branch with detour 3
     assert g.max_shortcut == 3
     assert g.max_detour == 2
+
+
+# -- the compressed grid against its oracles --
+
+LATTICE = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+EDIT = st.one_of(
+    st.builds(lambda a, d: {"op": "remove", "a": a, "b": (a[0] + d[0], a[1] + d[1])},
+              LATTICE, st.sampled_from(((1, 0), (0, 1)))),
+    st.builds(lambda a, b: {"op": "add", "a": a, "b": b}, LATTICE, LATTICE))
+FAR = st.tuples(st.integers(-20, 20), st.integers(-20, 20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(EDIT, min_size=1, max_size=5), FAR, FAR)
+def test_compressed_grid_equals_the_search(edits, x, y):
+    try:
+        g = make_family("perturbed_grid", edits=edits)
+    except EditValidationError:
+        assume(False)
+    x, y = GridNode(*x), GridNode(*y)
+    assert g.distance(x, y) == g.distance(y, x) == bfs_distance(g, x, y) == bfs_distance(g, y, x)
+
+
+def truncated_distance(edits, a: tuple, b: tuple) -> int:
+    """networkx shortest path on two nested truncations around a, b and the edits."""
+    pts = [a, b] + [tuple(e[end]) for e in edits for end in ("a", "b")]
+    found = []
+    for margin in (4, 10):
+        lo_k, hi_k = min(p[0] for p in pts) - margin, max(p[0] for p in pts) + margin
+        lo_l, hi_l = min(p[1] for p in pts) - margin, max(p[1] for p in pts) + margin
+        g = nx.grid_2d_graph(range(lo_k, hi_k + 1), range(lo_l, hi_l + 1))
+        for e in edits:
+            if e["op"] == "add":
+                g.add_edge(tuple(e["a"]), tuple(e["b"]))
+            else:
+                g.remove_edge(tuple(e["a"]), tuple(e["b"]))
+        found.append(nx.shortest_path_length(g, a, b))
+    assert found[0] == found[1], f"truncation not stable for {a}->{b}: {found}"
+    return found[0]
+
+
+@pytest.mark.parametrize("edits", [
+    EDITS[1:],
+    EDITS,
+    [{"op": "remove", "a": (0, 0), "b": (0, 1)}, {"op": "remove", "a": (0, 1), "b": (1, 1)},
+     {"op": "remove", "a": (1, 1), "b": (1, 0)}, {"op": "add", "a": (-3, 2), "b": (4, -1)}],
+])
+def test_compressed_grid_matches_networkx_on_far_pairs(edits):
+    g = make_family("perturbed_grid", edits=edits)
+    for a, b in [((-200, 0), (200, 50)), ((-40, 0), (40, 0)), ((-60, 0), (60, 20)),
+                 ((0, -150), (1, 150)), ((3, 90), (-2, -1)), ((1, 0), (1, 1))]:
+        assert g.distance(GridNode(*a), GridNode(*b)) == truncated_distance(edits, a, b)
+
+
+def test_budget_bound_queries_answer_exactly():
+    g = make_family("perturbed_grid", edits=EDITS[1:])
+    assert g.distance(GridNode(-200, 0), GridNode(200, 50)) == 450
+    assert g.distance(GridNode(-40, 0), GridNode(40, 0), budget=20_000) == 80
+    # the search runs out at the same budget
+    assert bfs_distance(g, GridNode(-40, 0), GridNode(40, 0), budget=20_000) is EXHAUSTED
+
+
+def window_validation(edits) -> tuple[int, int] | None:
+    """The window-BFS validation the compressed grid replaced, as a second oracle.
+
+    None when the edits disconnect the grid, else (max_shortcut, max_detour).
+    The BFS stays inside the edits' bounding box plus a collar of 3 plus its
+    half-perimeter; the adjacency is rebuilt from the edit list.
+    """
+    added = [(tuple(e["a"]), tuple(e["b"])) for e in edits if e["op"] == "add"]
+    removed = {frozenset((tuple(e["a"]), tuple(e["b"]))) for e in edits if e["op"] == "remove"}
+    chords = defaultdict(list)
+    for a, b in added:
+        chords[a].append(b)
+        chords[b].append(a)
+    nodes = [tuple(e[end]) for e in edits for end in ("a", "b")]
+    ks, ls = [n[0] for n in nodes], [n[1] for n in nodes]
+    margin = 3 + max(ks) - min(ks) + max(ls) - min(ls)
+    lo_k, hi_k, lo_l, hi_l = min(ks) - margin, max(ks) + margin, min(ls) - margin, max(ls) + margin
+
+    def neighbors(u):
+        k, l = u
+        steps = ((k + 1, l), (k - 1, l), (k, l + 1), (k, l - 1))
+        return [v for v in steps if frozenset((u, v)) not in removed] + chords[u]
+
+    def window_bfs(source):
+        dist, frontier = {source: 0}, [source]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in neighbors(u):
+                    if lo_k <= v[0] <= hi_k and lo_l <= v[1] <= hi_l and v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        return dist
+
+    if removed:
+        reached = window_bfs((lo_k, lo_l))
+        if any(n not in reached for n in nodes):
+            return None
+    shortcut = sum(max(0, abs(a[0] - b[0]) + abs(a[1] - b[1]) - 1) for a, b in added)
+    detour = 0
+    for a, b in map(tuple, removed):
+        detour += window_bfs(a)[b] - 1
+    return shortcut, detour
+
+
+def test_edit_validation_matches_the_window_search():
+    rng = random.Random(14)
+    verdicts = []
+    for _ in range(400):
+        edits, seen, count = [], set(), rng.randint(1, 5)
+        span = rng.choice((1, 2, 4))
+        if rng.random() < 0.3:
+            # cut three or four branches of one node: a seal unless an add rescues it
+            c = (rng.randint(-span, span), rng.randint(-span, span))
+            for dk, dl in rng.sample(((1, 0), (-1, 0), (0, 1), (0, -1)), rng.randint(3, 4)):
+                seen.add(frozenset((c, (c[0] + dk, c[1] + dl))))
+                edits.append({"op": "remove", "a": c, "b": (c[0] + dk, c[1] + dl)})
+        while len(edits) < count:
+            a = (rng.randint(-span, span), rng.randint(-span, span))
+            if rng.random() < 0.7:
+                dk, dl = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+                op, b = "remove", (a[0] + dk, a[1] + dl)
+            else:
+                op, b = "add", (rng.randint(-span, span), rng.randint(-span, span))
+                if abs(a[0] - b[0]) + abs(a[1] - b[1]) < 2:
+                    continue
+            if frozenset((a, b)) not in seen:
+                seen.add(frozenset((a, b)))
+                edits.append({"op": op, "a": a, "b": b})
+        want = window_validation(edits)
+        try:
+            g = make_family("perturbed_grid", edits=edits)
+        except EditValidationError as exc:
+            assert want is None and str(exc) == "edits disconnect the grid", edits
+        else:
+            assert want == (g.max_shortcut, g.max_detour), edits
+        verdicts.append(want is None)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 # -- symbolic distances on terms --

@@ -269,6 +269,16 @@ def test_compare_reads_the_finite_sign_only_where_omega_ties():
         compare_hyperordinals(Hyperordinal(climbing.fn, Aff(0, 1), unclassified), one)
 
 
+def test_negative_component_at_the_probe_is_a_refusal():
+    # -n + 5 orders below 0, but at the settled probe it is no ordinal
+    falling = hyperordinal_from_syms(Aff(0, 0), Aff(-1, 5))
+    zero = hyperordinal_from_syms(Aff(0, 0), Aff(0, 0))
+    with pytest.raises(IndeterminateError, match="not naturals"):
+        compare_hyperordinals(falling, zero)
+    with pytest.raises(IndeterminateError, match="not naturals"):
+        compare_hyperordinals(zero, falling)
+
+
 def test_one_disagreeing_probe_refutes_a_claimed_order():
     # the claim reads 5 > 3; the settled probes are n = 10 and 11, and only 11 disagrees
     half_liar = Hyperordinal(lambda n: Ordinal(0, 1 if n == 11 else 5), Aff(0, 0), Aff(0, 5))
