@@ -52,6 +52,8 @@ def run_check_suite(graph: GraphInstance, suite: str, *, seed: int = 0,
     runner = _RUNNERS.get(suite)
     if runner is None:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
+    if samples is not None and samples < 1:  # a suite of no samples checks nothing
+        raise ValueError(f"a suite needs at least 1 sample, got {samples}")
     rng = random.Random(seed)
     results = runner(graph, rng, samples)
     return SuiteReport(suite, graph.family, tuple(results))
@@ -201,7 +203,8 @@ def _suite_order(graph, rng: random.Random,
                  samples: int | None) -> list[CheckResult]:
     points = _sample_hypernodes(graph, rng, samples or 6)
     report = verify_partial_order(points, anchor_hypernode(graph))
-    detail = (f"{len(report.incomparable_pairs)} incomparable, "
+    detail = (f"{len(report.same_galaxy_pairs)} same-galaxy, "
+              f"{len(report.incomparable_pairs)} incomparable, "
               f"{len(report.filter_dependent_pairs)} filter-dependent, "
               f"{len(report.indeterminate_pairs)} indeterminate")
     return [
@@ -239,11 +242,11 @@ def _suite_walk_oracle(graph, rng: random.Random,
     label = graph_label(graph)
     if isinstance(label, dict):
         edits = label["edits"]
-    for _ in range(count):
-        a, b = graph.sample_nodes(rng, 2, span=8)
-        got = graph.distance(a, b)
-        want = oracle_distance(graph.family, a, b, 30, edits)
-        agree.check(got == want, _counterexample(a, b, got, want))
+    pairs = [tuple(graph.sample_nodes(rng, 2, span=8)) for _ in range(count)]
+    got = [graph.distance(a, b) for a, b in pairs]
+    want = oracle_distance(graph.family, pairs, 30, edits)
+    for (a, b), g, w in zip(pairs, got, want):
+        agree.check(g == w, _counterexample(a, b, g, w))
     return [agree.result()]
 
 

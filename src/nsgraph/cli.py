@@ -49,10 +49,10 @@ def _operand(job: dict, key: str, required: bool = True):
 
 
 def _int_operand(value, key: str) -> int:
-    try:
-        return int(value)
-    except TypeError as exc:
-        raise JobError(f"operand {key!r} must be an integer, got {value!r}") from exc
+    # JSON gives int, float, bool or str; only an int is an integer operand
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise JobError(f"operand {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _verdict_record(v) -> dict:
@@ -136,8 +136,9 @@ def _cmd_check(graph, job, opts):
     if not isinstance(suite, str):
         raise JobError(f"operand 'suite' must be a suite name, got {suite!r}")
     samples = job.get("samples")
-    report = run_check_suite(graph, suite, seed=opts["seed"],
-                             samples=_int_operand(samples, "samples") if samples else None)
+    if samples is not None:
+        samples = _int_operand(samples, "samples")
+    report = run_check_suite(graph, suite, seed=opts["seed"], samples=samples)
     results = [{"name": r.name, "passed": r.passed, "checked": r.checked,
                 "detail": r.detail} for r in report.results]
     return ({"suite": report.suite, "passed": report.passed,

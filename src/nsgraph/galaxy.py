@@ -539,6 +539,7 @@ class OrderReport:
     reflexivity_violations: tuple
     antisymmetry_violations: tuple
     transitivity_violations: tuple
+    same_galaxy_pairs: tuple
     incomparable_pairs: tuple
     filter_dependent_pairs: tuple
     indeterminate_pairs: tuple
@@ -553,8 +554,9 @@ def verify_partial_order(sample: list[Hypernode],
                          base: Hypernode) -> OrderReport:
     """Check the strict-order laws of closer_than across a sample.
 
-    Incomparable and filter-dependent pairs are reported, not failed: the
-    closeness order is partial by design.
+    Pairs that neither side is closer in, and filter-dependent pairs, are
+    reported, not failed: the closeness order is partial by design.  Those
+    pairs a limited distance apart are same-galaxy; the rest are incomparable.
     """
     k = len(sample)
     verdicts: dict[tuple[int, int], Trivalent | None] = {}
@@ -568,9 +570,11 @@ def verify_partial_order(sample: list[Hypernode],
     antisym = tuple((i, j) for i in range(k) for j in range(i + 1, k)
                     if verdicts[i, j] is Trivalent.TRUE
                     and verdicts[j, i] is Trivalent.TRUE)
-    incomparable = tuple((i, j) for i in range(k) for j in range(i + 1, k)
-                         if verdicts[i, j] is Trivalent.FALSE
-                         and verdicts[j, i] is Trivalent.FALSE)
+    neither = [(i, j) for i in range(k) for j in range(i + 1, k)
+               if verdicts[i, j] is Trivalent.FALSE
+               and verdicts[j, i] is Trivalent.FALSE]
+    same = tuple((i, j) for i, j in neither if _same_galaxy(sample[i], sample[j]))
+    incomparable = tuple(p for p in neither if p not in same)
     filter_dep = tuple((i, j) for i in range(k) for j in range(i + 1, k)
                        if Trivalent.FILTER_DEPENDENT in (verdicts[i, j], verdicts[j, i]))
     indet = tuple((i, j) for i in range(k) for j in range(i + 1, k)
@@ -587,5 +591,12 @@ def verify_partial_order(sample: list[Hypernode],
                         and verdicts[j, m] is Trivalent.TRUE
                         and verdicts[i, m] is not Trivalent.TRUE):
                     transitivity.append((i, j, m))
-    return OrderReport(k * k, triples, reflexive, antisym,
-                       tuple(transitivity), incomparable, filter_dep, indet)
+    return OrderReport(k * k, triples, reflexive, antisym, tuple(transitivity),
+                       same, incomparable, filter_dep, indet)
+
+
+def _same_galaxy(x: Hypernode, y: Hypernode) -> bool:
+    try:
+        return limitedly_distant(x, y).relation is GalaxyRelation.SAME
+    except IndeterminateError:
+        return False

@@ -118,7 +118,12 @@ class NodeTerm:
     params: tuple[IndexSequence, ...]
 
     def param_syms(self) -> tuple[SymInt, ...]:
-        return tuple(p.to_sym() for p in self.params)
+        # cached on first use, outside the fields: equality and hash never see it
+        syms = self.__dict__.get("_syms")
+        if syms is None:
+            syms = tuple(p.to_sym() for p in self.params)
+            object.__setattr__(self, "_syms", syms)
+        return syms
 
     def describe(self) -> str:
         if not self.params:

@@ -107,8 +107,9 @@ def in_filter(predicate: Callable[[int], bool], evidence: TruthSet | None,
     """
     if evidence is None:
         raise IndeterminateError("truth set of the predicate is unclassifiable")
+    expected = (evidence.holds_at(0), evidence.holds_at(1))  # by parity of n
     for n in range(evidence.threshold, max(evidence.threshold, horizon) + 1):
-        if bool(predicate(n)) != evidence.holds_at(n):
+        if bool(predicate(n)) != expected[n & 1]:
             raise EvidenceError(
                 f"evidence {evidence.kind} (threshold {evidence.threshold}) "
                 f"contradicts predicate at n={n}")

@@ -1,14 +1,23 @@
 """Independent reference oracles used by the test suite.
 
 Everything here recomputes answers from first principles on explicit finite
-truncations: build a concrete adjacency dict, run a textbook search, compare.
+truncations: build concrete adjacency dicts, run textbook searches, compare.
 None of it shares code with the lazy implementations it checks.
+
+Each truncation is built once per call and answers every pair the call
+holds.  The rank-0 oracle then drops it before building the next radius, so
+one truncation is alive at a time.  The rank-1 oracle keeps its last two
+quotients, with the legs between their 1-nodes; only the legs from 0-node
+endpoints are built per query, and a Dijkstra over lexicographic walk
+lengths composes them.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from functools import lru_cache
+from itertools import count
 
 from .graphs import GridNode, Ground, LadderNode, PathNode, RayNode
 from .ordinal import Ordinal
@@ -75,13 +84,20 @@ def truncated_adjacency(family: str, radius: int, edits: list[dict] | None = Non
     return adj
 
 
-def oracle_distance(family: str, x, y, radius: int, edits: list[dict] | None = None) -> int:
-    """Truncation-stable distance: equal answers at two radii, else refuse."""
-    near = plain_bfs(truncated_adjacency(family, radius, edits), x, y)
-    far = plain_bfs(truncated_adjacency(family, radius + 4, edits), x, y)
-    if near is None or near != far:
-        raise ValueError(f"radius {radius} too small to settle d({x!r},{y!r})")
+def oracle_distance(family: str, pairs: list, radius: int,
+                    edits: list[dict] | None = None) -> list[int]:
+    """Truncation-stable distances of the pairs: equal at two radii, else refuse."""
+    near = _answer_all(truncated_adjacency(family, radius, edits), pairs)
+    far = _answer_all(truncated_adjacency(family, radius + 4, edits), pairs)
+    for (x, y), a, b in zip(pairs, near, far):
+        if a is None or a != b:
+            raise ValueError(f"radius {radius} too small to settle d({x!r},{y!r})")
     return near
+
+
+def _answer_all(adj: dict, pairs: list) -> list[int | None]:
+    # a call of its own, so each truncation is freed before the next is built
+    return [plain_bfs(adj, x, y) for x, y in pairs]
 
 
 # ====== Rank-1 quotients ======
@@ -91,7 +107,7 @@ def oracle_distance(family: str, x, y, radius: int, edits: list[dict] | None = N
 #   incidence: 1-node id -> [(section key, "tip" | "embedded", 0-node | None)]
 # Walk lengths come out of probe-leg enumeration: a leg crosses one section
 # (at most two tip entries, so at most three per composed probe), and legs
-# compose by plain relaxation over the named vertices.
+# compose by a Dijkstra over the named vertices with lexicographic costs.
 
 def _path_section(adj_key_nodes):
     adj: dict = {}
@@ -190,6 +206,35 @@ def _quotient(family: str, size: int):
     return _QUOTIENTS[family](size)
 
 
+@lru_cache(maxsize=2)  # keyed like _quotient: no leg here depends on an endpoint
+def _one_legs(family: str, size: int) -> dict:
+    """1-node -> [(1-node, lex cost)] over single-section legs, both ways."""
+    sections, incidence = _quotient(family, size)
+    legs: dict = {one: [] for one in incidence}
+    ones = list(incidence)
+    for i, a in enumerate(ones):
+        for b in ones[i + 1:]:
+            best = None
+            for skey_a, kind_a, pay_a in incidence[a]:
+                for skey_b, kind_b, pay_b in incidence[b]:
+                    if skey_a != skey_b:
+                        continue
+                    if kind_a == "tip" and kind_b == "tip":
+                        cost = (2, 0)
+                    elif "tip" in (kind_a, kind_b):
+                        cost = (1, 0)
+                    else:
+                        d = plain_bfs(sections[skey_a], pay_a, pay_b)
+                        if d is None:
+                            continue
+                        cost = (0, d)
+                    best = min(best, cost) if best else cost
+            if best is not None:
+                legs[a].append((b, best))
+                legs[b].append((a, best))
+    return legs
+
+
 def _section_of(sections: dict, ref):
     for key, adj in sections.items():
         if ref in adj:
@@ -197,10 +242,9 @@ def _section_of(sections: dict, ref):
     raise ValueError(f"{ref!r} lies outside the truncation")
 
 
-def _probe_legs(sections: dict, incidence: dict, endpoints: list):
-    """Every single-section leg between named vertices, with its lex cost."""
+def _endpoint_legs(sections: dict, incidence: dict, zeros: list) -> list:
+    """Every single-section leg from a 0-node endpoint, with its lex cost."""
     legs = []
-    zeros = [e for e in endpoints if not isinstance(e, OneNodeId)]
     for u in zeros:
         key = _section_of(sections, u)
         for v in zeros:
@@ -221,65 +265,47 @@ def _probe_legs(sections: dict, incidence: dict, endpoints: list):
                     best = (1, 0)
             if best is not None:
                 legs.append((u, one, best))
-    ones = list(incidence)
-    for i, a in enumerate(ones):
-        for b in ones[i + 1:]:
-            best = None
-            for skey_a, kind_a, pay_a in incidence[a]:
-                for skey_b, kind_b, pay_b in incidence[b]:
-                    if skey_a != skey_b:
-                        continue
-                    if kind_a == "tip" and kind_b == "tip":
-                        cost = (2, 0)
-                    elif "tip" in (kind_a, kind_b):
-                        cost = (1, 0)
-                    else:
-                        d = plain_bfs(sections[skey_a], pay_a, pay_b)
-                        if d is None:
-                            continue
-                        cost = (0, d)
-                    best = min(best, cost) if best else cost
-            if best is not None:
-                legs.append((a, b, best))
     return legs
 
 
-def _compose_probes(named: list, legs: list, x, y):
-    dist = {v: None for v in named}
-    dist[x] = (0, 0)
-    for _ in range(len(named)):
-        changed = False
-        for u, v, cost in legs:
-            for a, b in ((u, v), (v, u)):
-                if dist[a] is None:
-                    continue
-                cand = (dist[a][0] + cost[0], dist[a][1] + cost[1])
-                if dist[b] is None or cand < dist[b]:
-                    dist[b] = cand
-                    changed = True
-        if not changed:
-            break
-    if dist[y] is None:
-        raise ValueError(f"{x!r} and {y!r} not connected in the truncation")
-    return dist[y]
+def _compose_probes(shared: dict, legs: list, x, y):
+    """Least lex cost from x to y over the shared legs and the endpoint legs."""
+    own: dict = {}
+    for u, v, cost in legs:
+        own.setdefault(u, []).append((v, cost))
+        own.setdefault(v, []).append((u, cost))
+    best = {x: (0, 0)}
+    tie = count()  # vertex ids are not ordered
+    heap = [((0, 0), next(tie), x)]
+    while heap:
+        cost, _, u = heapq.heappop(heap)
+        if cost > best[u]:
+            continue  # superseded by a cheaper entry
+        if u == y:
+            return cost
+        for v, leg in (*shared.get(u, ()), *own.get(u, ())):
+            cand = (cost[0] + leg[0], cost[1] + leg[1])
+            if v not in best or cand < best[v]:
+                best[v] = cand
+                heapq.heappush(heap, (cand, next(tie), v))
+    raise ValueError(f"{x!r} and {y!r} not connected in the truncation")
 
 
-def _enumerate_once(quotient, x, y):
-    sections, incidence = quotient
-    named = [x, y] + [one for one in incidence if one not in (x, y)]
-    if not isinstance(x, OneNodeId):
-        _section_of(sections, x)
-    if not isinstance(y, OneNodeId):
-        _section_of(sections, y)
+def _enumerate_once(family: str, size: int, x, y):
+    sections, incidence = _quotient(family, size)
+    zeros = [e for e in (x, y) if not isinstance(e, OneNodeId)]
+    for e in zeros:
+        _section_of(sections, e)
     if x == y:
         return (0, 0)
-    return _compose_probes(named, _probe_legs(sections, incidence, [x, y]), x, y)
+    legs = _endpoint_legs(sections, incidence, zeros)
+    return _compose_probes(_one_legs(family, size), legs, x, y)
 
 
 def enumeration_wdistance(family: str, x, y, size: int = 9) -> Ordinal:
     """Walk length by probe-leg enumeration, truncation-stable at two sizes."""
-    near = _enumerate_once(_quotient(family, size), x, y)
-    far = _enumerate_once(_quotient(family, size + 3), x, y)
+    near = _enumerate_once(family, size, x, y)
+    far = _enumerate_once(family, size + 3, x, y)
     if near != far:
         raise ValueError(f"size {size} too small to settle wdistance({x!r},{y!r})")
     return Ordinal(*near)

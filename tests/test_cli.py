@@ -256,8 +256,22 @@ EDITED_GRID = {"family": "perturbed_grid",
     {"graph": "one_ended_path", "command": "chain", "seed": "p:n", "m": [1]},
     {"graph": "grid2d", "command": "distance", "x": "grid:0,0", "y": "grid:1,1",
      "budget": None},
+    *[{"graph": "endless_path", "command": "check", "suite": suite, "samples": -3}
+      for suite in ("metric", "galaxy-partition", "order", "walk-oracle", "kernel")],
+    {"graph": "endless_path", "command": "check", "suite": "metric", "samples": 0},
+    {"graph": "endless_path", "command": "check", "suite": "metric", "samples": 2.0},
+    {"graph": "one_ended_path", "command": "chain", "seed": "p:n", "m": 2.7},
+    {"graph": "one_ended_path", "command": "chain", "seed": "p:n", "m": True},
+    {"graph": "grid2d", "command": "distance", "x": "grid:0,0", "y": "grid:1,1",
+     "budget": 2.9},
+    {"graph": "grid2d", "command": "distance", "x": "grid:0,0", "y": "grid:1,1",
+     "budget": "300"},
 ], ids=["edits-not-a-list", "string-coordinate", "suite-not-a-name", "job-not-an-object",
-        "depth-not-a-number", "budget-not-a-number"])
+        "depth-not-a-number", "budget-not-a-number",
+        *[f"negative-samples-{suite}" for suite in ("metric", "galaxy-partition", "order",
+                                                    "walk-oracle", "kernel")],
+        "zero-samples", "float-samples", "float-depth", "bool-depth", "float-budget",
+        "string-budget"])
 def test_malformed_documents_yield_one_error_record(job):
     record, code = cli.run_job(job, {"seed": 0, "budget": 1000, "horizon": 64})
     assert code == cli.ERROR

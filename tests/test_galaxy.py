@@ -170,10 +170,30 @@ def test_verify_partial_order_report():
     assert rep.reflexivity_violations == ()
     assert rep.antisymmetry_violations == ()
     assert rep.transitivity_violations == ()
-    # same-galaxy pairs are incomparable, parity pairs filter-dependent
-    assert rep.incomparable_pairs == ((0, 5), (1, 2))
+    # neither closer: same-galaxy pairs apart from incomparable ones;
+    # parity pairs filter-dependent
+    assert rep.same_galaxy_pairs == ((0, 5), (1, 2))
+    assert rep.incomparable_pairs == ()
     assert rep.filter_dependent_pairs == ((0, 4), (1, 4), (2, 4), (4, 5))
     assert rep.indeterminate_pairs == ()
+
+
+def test_same_galaxy_pairs_are_not_incomparable():
+    grid = make_family("grid2d")
+    near, far = hyper(grid, "grid", Affine(1, 0), Constant(0)), \
+        hyper(grid, "grid", Affine(1, 3), Constant(0))
+    verdict = limitedly_distant(near, far)
+    assert verdict.relation is GalaxyRelation.SAME
+    assert verdict.certified_bound == Ordinal(0, 3)
+    rep = verify_partial_order([near, far], anchor_hypernode(grid))
+    assert rep.same_galaxy_pairs == ((0, 1),)
+    assert rep.incomparable_pairs == ()
+    # p:n and p:-n: neither closer to the anchor, and galaxies apart
+    path = make_family("endless_path")
+    rep = verify_partial_order([hyper(path, "p", Affine(1, 0)),
+                                hyper(path, "p", Affine(-1, 0))],
+                               anchor_hypernode(path))
+    assert (rep.same_galaxy_pairs, rep.incomparable_pairs) == ((), ((0, 1),))
 
 
 # ====== branches respect the partition ======

@@ -62,9 +62,23 @@ def test_closed_forms_match_oracle():
                    "ladder_with_ray", "grid2d"):
         g = make_family(family)
         nodes = g.sample_nodes(rng, 12, span=6)
-        for i, x in enumerate(nodes):
-            for y in nodes[i + 1:]:
-                assert g.distance(x, y) == oracle_distance(family, x, y, 30)
+        pairs = [(x, y) for i, x in enumerate(nodes) for y in nodes[i + 1:]]
+        want = oracle_distance(family, pairs, 30)
+        for (x, y), d in zip(pairs, want):
+            assert g.distance(x, y) == d
+
+
+@pytest.mark.parametrize("family,edits", [("grid2d", None), ("perturbed_grid", EDITS)])
+def test_batched_oracle_equals_per_pair_search(family, edits):
+    from nsgraph.oracles import plain_bfs, truncated_adjacency
+    rng = random.Random(43)
+    g = make_family(family, edits=edits)
+    pairs = [tuple(g.sample_nodes(rng, 2, span=8)) for _ in range(25)]
+    pairs.append((pairs[0][0], pairs[0][0]))
+    want = oracle_distance(family, pairs, 12, edits)
+    for radius in (12, 16):
+        for (x, y), d in zip(pairs, want):
+            assert plain_bfs(truncated_adjacency(family, radius, edits), x, y) == d
 
 
 def test_neighbors_match_oracle_adjacency():
@@ -177,9 +191,10 @@ def test_perturbed_grid_matches_oracle_random():
     rng = random.Random(31)
     g = make_family("perturbed_grid", edits=EDITS)
     nodes = g.sample_nodes(rng, 10, span=5)
-    for i, x in enumerate(nodes):
-        for y in nodes[i + 1:]:
-            assert g.distance(x, y) == oracle_distance("perturbed_grid", x, y, 25, EDITS)
+    pairs = [(x, y) for i, x in enumerate(nodes) for y in nodes[i + 1:]]
+    want = oracle_distance("perturbed_grid", pairs, 25, EDITS)
+    for (x, y), d in zip(pairs, want):
+        assert g.distance(x, y) == d
 
 
 def test_perturbed_neighbors_keep_the_sorted_edit_order():
@@ -490,3 +505,13 @@ def test_term_instantiation_validates():
     assert g.term_node(term, 5) == PathNode(3)
     with pytest.raises(NotAMemberError):
         g.check_term(NodeTerm("lad", (Constant(1),)))
+
+
+def test_node_term_cache_is_invisible_to_equality_and_hash():
+    params = (Parity(Constant(0), Affine(1, 0)), Affine(2, 3))
+    fresh, used = NodeTerm("grid", params), NodeTerm("grid", params)
+    before = (fresh == used, hash(fresh), hash(used), repr(used))
+    assert used.param_syms() is used.param_syms()  # built once, on first use
+    assert (fresh == used, hash(fresh), hash(used), repr(used)) == before
+    assert fresh == used and {fresh: 1}[used] == 1
+    assert fresh.param_syms() == used.param_syms()

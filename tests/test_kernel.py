@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nsgraph.kernel import (EvidenceError, IndeterminateError, Trivalent,
                             TruthSet, cofinite_set, finite_set, in_filter,
@@ -86,3 +88,34 @@ def test_threshold_validation():
         TruthSet("cofinite", -1)
     with pytest.raises(ValueError):
         TruthSet("sometimes", 0)
+
+
+def _per_index_sweep(predicate, evidence, horizon):
+    """Reference: the sweep as one holds_at call per sampled index."""
+    for n in range(evidence.threshold, max(evidence.threshold, horizon) + 1):
+        if bool(predicate(n)) != evidence.holds_at(n):
+            return n
+    return None
+
+
+@given(kind=st.sampled_from(["cofinite", "finite", "split"]),
+       threshold=st.integers(0, 41), even_true=st.booleans(),
+       truth=st.sampled_from(["cofinite", "finite", "split-even", "split-odd"]),
+       flip=st.one_of(st.none(), st.integers(0, 70)),
+       horizon=st.integers(0, 64))
+def test_in_filter_agrees_with_a_per_index_sweep(kind, threshold, even_true,
+                                                 truth, flip, horizon):
+    evidence = TruthSet(kind, threshold, even_true)
+    base = {"cofinite": lambda n: True, "finite": lambda n: False,
+            "split-even": lambda n: n % 2 == 0,
+            "split-odd": lambda n: n % 2 == 1}[truth]
+
+    def predicate(n):  # the base truth, negated at one index
+        return base(n) != (n == flip)
+
+    first = _per_index_sweep(predicate, evidence, horizon)
+    if first is None:
+        assert in_filter(predicate, evidence, horizon) is verdict(evidence)
+    else:
+        with pytest.raises(EvidenceError, match=f"at n={first}$"):
+            in_filter(predicate, evidence, horizon)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsgraph import transfinite
+from nsgraph import oracles, transfinite
 from nsgraph.graphs import NodeTerm, NotAMemberError
 from nsgraph.oracles import (enumeration_wdistance, oracle_section_distance)
 from nsgraph.ordinal import ZERO, Ordinal, natural_sum
@@ -208,6 +208,68 @@ def test_wdistance_matches_enumeration_oracle():
             want = enumeration_wdistance(f, promote(g, a), promote(g, b))
             assert wdistance(g, a, b) == want, (f, a, b, want)
             assert wdistance_witness(g, a, b)[0] == want, (f, a, b, want)
+
+
+def _relaxed_probes(named: list, legs: list, x, y):
+    """The enumeration oracle's former composition: |named| relaxation rounds."""
+    dist = {v: None for v in named}
+    dist[x] = (0, 0)
+    for _ in range(len(named)):
+        changed = False
+        for u, v, cost in legs:
+            for a, b in ((u, v), (v, u)):
+                if dist[a] is None:
+                    continue
+                cand = (dist[a][0] + cost[0], dist[a][1] + cost[1])
+                if dist[b] is None or cand < dist[b]:
+                    dist[b] = cand
+                    changed = True
+        if not changed:
+            break
+    if dist[y] is None:
+        raise ValueError(f"{x!r} and {y!r} not connected in the truncation")
+    return dist[y]
+
+
+@pytest.mark.parametrize("size", [9, 12])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_dijkstra_composition_equals_relaxation(family, size):
+    sections, incidence = oracles._quotient(family, size)
+    shared = oracles._one_legs(family, size)
+    shared_legs = [(a, b, cost) for a, out in shared.items() for b, cost in out]
+    g = make_one_graph(family)
+    rng = random.Random(size)
+    for _ in range(30):
+        x, y = (promote(g, v) for v in g.sample_maximal_nodes(rng, 2, span=5))
+        if x == y:
+            continue
+        zeros = [e for e in (x, y) if not isinstance(e, OneNodeId)]
+        legs = oracles._endpoint_legs(sections, incidence, zeros)
+        named = [x, y] + [one for one in incidence if one not in (x, y)]
+        assert (oracles._compose_probes(shared, legs, x, y)
+                == _relaxed_probes(named, legs + shared_legs, x, y)), (x, y)
+
+
+def test_dijkstra_composition_equals_relaxation_on_random_legs():
+    # the catalog quotients rarely improve a vertex after its first sighting
+    rng = random.Random(5)
+    for _ in range(300):
+        named = list(range(rng.randint(2, 9)))
+        legs = [(rng.choice(named), rng.choice(named),
+                 (rng.randint(0, 2), rng.randint(0, 6))) for _ in range(rng.randint(0, 20))]
+        cut = rng.randint(0, len(legs))
+        shared: dict = {}
+        for a, b, cost in legs[cut:]:
+            shared.setdefault(a, []).append((b, cost))
+            shared.setdefault(b, []).append((a, cost))
+        x, y = rng.sample(named, 2)
+        try:
+            want = _relaxed_probes(named, legs, x, y)
+        except ValueError:
+            with pytest.raises(ValueError):
+                oracles._compose_probes(shared, legs[:cut], x, y)
+            continue
+        assert oracles._compose_probes(shared, legs[:cut], x, y) == want
 
 
 def _catalog_nodes(family):
