@@ -27,7 +27,7 @@ from .graphs import Exhausted, UnreachableError
 from .kernel import DEFAULT_HORIZON, IndeterminateError
 from .literals import graph_label, parse_graph, parse_hypernode, parse_node
 from .ordinal import render_ordinal
-from .sequences import sym_value
+from .sequences import sym_start, sym_value
 from .transfinite import wdistance
 from .ultrapower import is_standard, node_at
 
@@ -162,13 +162,16 @@ def _cmd_describe(graph, job, opts):
     except IndeterminateError as exc:
         standard = f"indeterminate: {exc}"
     relation = in_principal_galaxy(h).relation
+    # the profile is the distance only from its start on
+    start = max(sym_start(h.profile.omega), sym_start(h.profile.finite))
+    scale = h.profile.omega if h.rank else h.profile.finite
     facts = {
         "term": h.term.describe(),
         "rank": h.rank,
         "standard": standard,
         "galaxy": relation.value,
-        "scale": [sym_value(h.profile.omega, n) for n in range(4)]
-        if h.rank else [sym_value(h.profile.finite, n) for n in range(4)],
+        "scale": [sym_value(scale, n) for n in range(start, start + 4)],
+        "scale_from": start,
     }
     caveat = (standard not in ("true", "false")
               or relation is GalaxyRelation.FILTER_DEPENDENT)

@@ -37,7 +37,7 @@ from .sequences import (
     sym_sub,
     sym_value,
 )
-from .transfinite import OneGraph, OneNodeId, is_boundary, wdistance
+from .transfinite import OneGraph, OneNodeId, boundary_one_nodes, wdistance
 from .ultrapower import (
     AnchorProfile,
     Hypernode,
@@ -501,10 +501,7 @@ def boundary_ray_witness(g: OneGraph, origin: OneNodeId | None = None) -> Hypern
         while len(found) <= pos:
             horizon[0] *= 2
             _scan_guard(horizon[0], "boundary enumeration")
-            found.clear()
-            for one in g.one_node_ids(horizon[0]):
-                if is_boundary(g, one, horizon[0]):
-                    found.append(one)
+            found[:] = boundary_one_nodes(g, horizon[0])
 
     def omega_of(pos: int) -> int:
         if pos not in omega_cache:

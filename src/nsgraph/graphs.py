@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from . import sequences as sq
-from .kernel import TruthSet, cofinite_set, finite_set, intersect
+from .kernel import TruthSet
 from .sequences import (Aff, IndexSequence, Opaque, SymInt, classify,
                         eq_const_truthset, per_parity, sym_abs, sym_add,
                         sym_start, sym_sub, zone_by_magnitude)
@@ -466,6 +466,10 @@ class LadderWithRay(Ladder):
         return out
 
 
+def _manhattan(sk: SymInt, sl: SymInt, tk: SymInt, tl: SymInt) -> SymInt:
+    return sym_add(sym_abs(sym_sub(sk, tk)), sym_abs(sym_sub(sl, tl)))
+
+
 class Grid2D(GraphInstance):
     """The integer lattice with unit branches."""
 
@@ -495,8 +499,7 @@ class Grid2D(GraphInstance):
         return GridNode(args[0], args[1])
 
     def symbolic_distance(self, ta, tb):
-        (sk, sl), (tk, tl) = ta.param_syms(), tb.param_syms()
-        return sym_add(sym_abs(sym_sub(sk, tk)), sym_abs(sym_sub(sl, tl)))
+        return _manhattan(*ta.param_syms(), *tb.param_syms())
 
     def sample_nodes(self, rng, count, span=15):
         return [GridNode(rng.randint(-span, span), rng.randint(-span, span))
@@ -540,17 +543,36 @@ class PerturbedGrid(Grid2D):
     straight pristine run: its inner points are no edit endpoints, so none
     of its steps is removed.
 
-    A query reads O(|edits|^2) neighbours at any separation; each read
-    spends one unit of `budget`, the unit of `bfs_distance`, which stays as
-    the oracle.  The edits are validated on the same grid, and the detour
-    bound sums d(a, b) - 1 over the removed branches.
+    A query reads O(|edits|^2) neighbours at any separation, each from the
+    sorted lines when the search reaches it; each read spends one unit of
+    `budget`, the unit of `bfs_distance`, which stays as the oracle.  The
+    edits are validated on the same grid.  `max_shortcut` S sums d(a, b) - 1
+    over the added branches on the pristine grid, `max_detour` D over the
+    removed ones on this grid.
+
+    Terms.  On a parity branch where the four coordinates are affine, the
+    distance d is the pristine form p plus a constant from n1 on.
+    (a) r = d - p lies in [-S, D]: a shortest path with each added branch
+        replaced by a pristine run gives d >= p - S, and a monotone pristine
+        path with each removed branch replaced by its detour gives d <= p + D.
+    (b) Let n0 be the first index past the root of every affine difference
+        of two lines of the query's compressed grid: the moving coordinates,
+        the other point's coordinate and the edit lines.  From n0 on the
+        lines keep their order, so the grid keeps its shape (no node on a
+        moving line is an edit endpoint) and each gap is affine and positive,
+        so nondecreasing: d is the least of finitely many affine path lengths.
+    (c) A path of slope below p's would take r below -S.  A path of slope
+        s >= p's + 1 exceeds p by at least t - S at n0 + t, by (a) at n0; from
+        n1 = n0 + S + D + 1 on it exceeds p + D >= d.  So r is the least
+        constant of the paths of p's slope, and one query at n1 reads it.
+        With no moving coordinate every path length is constant: n1 = n0.
+    A branch with a coordinate that is not affine keeps the bracket
+    [p - S, p + D] around its pointwise evaluator.
     """
 
     family = "perturbed_grid"
     has_closed_form = False
-
-    def closed_form_distance(self, x, y) -> int:
-        raise UnsupportedOracleError("perturbed_grid has no closed-form distance")
+    closed_form_distance = GraphInstance.closed_form_distance  # the edits leave none
 
     def __init__(self, added: list[tuple[GridNode, GridNode]],
                  removed: list[tuple[GridNode, GridNode]]):
@@ -602,44 +624,49 @@ class PerturbedGrid(Grid2D):
         of largest k lost its branch to k + 1, so it is an edit endpoint and
         a node of the compressed grid, which keeps reachability by (1) to (3).
         """
-        grid = self._compressed_grid(())
-        corner = min(grid)
+        cols, rows, branches = self._branch_reader(())
+        corner = GridNode(cols[0], rows[0])
         seen, stack = {corner}, [corner]
         while stack:
-            for v, _ in grid[stack.pop()]:
+            for v, _ in branches(stack.pop()):
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        return len(seen) == len(grid)
+        return len(seen) == len(cols) * len(rows)
 
     # -- distances --
-    def _compressed_grid(self, points) -> dict[GridNode, list[tuple[GridNode, int]]]:
-        """The compressed grid through `points` and the edits: node -> [(node, weight)]."""
+    def _branch_reader(self, points):
+        """The sorted columns and rows through `points` and the edits, and the
+        reader of a node's branches on their grid: node -> [(node, weight)]."""
         cols = sorted(self._cols.union(p.k for p in points))
         rows = sorted(self._rows.union(p.l for p in points))
-        grid: dict[GridNode, list[tuple[GridNode, int]]] = {
-            GridNode(k, l): [] for k in cols for l in rows}
+        col_at = {k: i for i, k in enumerate(cols)}
+        row_at = {l: j for j, l in enumerate(rows)}
 
-        def join(a: GridNode, b: GridNode, gap: int) -> None:
-            if gap > 1 or b not in self._removed_at.get(a, ()):
-                grid[a].append((b, gap))
-                grid[b].append((a, gap))
+        def branches(u: GridNode) -> list[tuple[GridNode, int]]:
+            k, l = u
+            i, j = col_at[k], row_at[l]
+            out = []
+            if i:
+                out.append((GridNode(cols[i - 1], l), k - cols[i - 1]))
+            if i + 1 < len(cols):
+                out.append((GridNode(cols[i + 1], l), cols[i + 1] - k))
+            if j:
+                out.append((GridNode(k, rows[j - 1]), l - rows[j - 1]))
+            if j + 1 < len(rows):
+                out.append((GridNode(k, rows[j + 1]), rows[j + 1] - l))
+            removed = self._removed_at.get(u)
+            if removed:
+                out = [(v, w) for v, w in out if w > 1 or v not in removed]
+            return out + [(v, 1) for v in self._added_at.get(u, ())]
 
-        for l in rows:
-            for k0, k1 in zip(cols, cols[1:]):
-                join(GridNode(k0, l), GridNode(k1, l), k1 - k0)
-        for k in cols:
-            for l0, l1 in zip(rows, rows[1:]):
-                join(GridNode(k, l0), GridNode(k, l1), l1 - l0)
-        for a, ends in self._added_at.items():
-            grid[a].extend((b, 1) for b in ends)
-        return grid
+        return cols, rows, branches
 
     def distance(self, x, y, budget: int = DEFAULT_BUDGET) -> int | Exhausted:
         """Dijkstra from x to y on their compressed grid; one unit per neighbour read."""
         self.require_member(x)
         self.require_member(y)
-        grid = self._compressed_grid((x, y))
+        branches = self._branch_reader((x, y))[2]
         dist = {x: 0}
         heap = [(0, x)]
         spent = 0
@@ -649,7 +676,7 @@ class PerturbedGrid(Grid2D):
                 return d
             if d > dist[u]:
                 continue
-            for v, w in grid[u]:
+            for v, w in branches(u):
                 if spent >= budget:
                     return EXHAUSTED
                 spent += 1
@@ -668,71 +695,34 @@ class PerturbedGrid(Grid2D):
         return steps + added if added else steps
 
     def symbolic_distance(self, ta, tb):
-        syms = ta.param_syms() + tb.param_syms()
-        consts = [classify(s).value for s in syms]
-        if all(c is not None for c in consts):
-            d = self.distance(GridNode(consts[0], consts[1]), GridNode(consts[2], consts[3]))
-            if isinstance(d, Exhausted):
-                return None
-            start = max(sym_start(s) for s in syms)
-            return Aff(0, d, start)
-        pure = super().symbolic_distance(ta, tb)
-        return per_parity(self._widen, pure, self.term_distance_fn(ta, tb))
+        return per_parity(self._term_distance, *ta.param_syms(), *tb.param_syms(),
+                          self.term_distance_fn(ta, tb))
 
-    def _widen(self, pure: SymInt, fn) -> SymInt | None:
-        """One parity branch of the pristine distance, bracketed by the edits."""
-        c = classify(pure)
-        start = sym_start(pure)
-        if c.kind == "pinf":
-            return Opaque(fn, to_pinf=True, start=start)
-        if c.value == 0:
-            return pure  # the same node: no edit changes d(x, x) = 0
-        if c.kind == "range":
-            return Opaque(fn, lo=max(0, c.lo - self.max_shortcut),
-                          hi=c.hi + self.max_detour, start=start)
-        return None
-
-    def adjacency_truthset(self, ta, tb):
-        syms = ta.param_syms() + tb.param_syms()
-        consts = [classify(s).value for s in syms]
-        if all(c is not None for c in consts):
-            a, b = GridNode(consts[0], consts[1]), GridNode(consts[2], consts[3])
-            adjacent = b in set(self.neighbors(a))
-            start = max(sym_start(s) for s in syms)
-            return cofinite_set(start) if adjacent else finite_set(start)
-        # distance one on the pristine lattice: the widened distance only brackets moving pairs
-        base = eq_const_truthset(Grid2D.symbolic_distance(self, ta, tb), 1)
-        if base is None:
+    def _term_distance(self, sk, sl, tk, tl, fn) -> SymInt | None:
+        """One parity branch: the pristine form plus its eventual correction."""
+        pure = _manhattan(sk, sl, tk, tl)
+        if not all(isinstance(s, Aff) for s in (sk, sl, tk, tl)):
+            c, start = classify(pure), sym_start(pure)
+            if c.kind == "pinf":
+                return Opaque(fn, to_pinf=True, start=start)
+            if c.kind == "range":
+                return Opaque(fn, lo=max(0, c.lo - self.max_shortcut),
+                              hi=c.hi + self.max_detour, start=start)
             return None
-        # moving terms must eventually leave every edited branch behind
-        threshold = base.threshold
-        for pair in self.added | self.removed:
-            a, b = tuple(pair)
-            hit = self._pair_hits_ts(syms, a, b)
-            if hit is None or hit.kind != "finite":
-                return None
-            threshold = max(threshold, hit.threshold)
-        return TruthSet(base.kind, threshold, base.even_true)
-
-    def _pair_hits_ts(self, syms, a: GridNode, b: GridNode) -> TruthSet | None:
-        def match(target_x: GridNode, target_y: GridNode) -> TruthSet | None:
-            parts = [eq_const_truthset(syms[0], target_x.k), eq_const_truthset(syms[1], target_x.l),
-                     eq_const_truthset(syms[2], target_y.k), eq_const_truthset(syms[3], target_y.l)]
-            out = parts[0]
-            for p in parts[1:]:
-                out = intersect(out, p)
-            return out
-        straight, flipped = match(a, b), match(b, a)
-        if straight is None or flipped is None:
+        n0 = max(s.start for s in (sk, sl, tk, tl))
+        for moving, fixed in (((sk, tk), self._cols), ((sl, tl), self._rows)):
+            lines = [(s.a, s.b) for s in moving] + [(0, c) for c in fixed]
+            n0 = max([n0] + [(b - s.b) // (s.a - a) + 1
+                             for s in moving for a, b in lines if a != s.a])
+        n1 = n0
+        if any(s.a for s in (sk, sl, tk, tl)):
+            n1 += self.max_shortcut + self.max_detour + 1
+        x = GridNode(sk.a * n1 + sk.b, sl.a * n1 + sl.b)
+        y = GridNode(tk.a * n1 + tk.b, tl.a * n1 + tl.b)
+        d = self.distance(x, y)
+        if isinstance(d, Exhausted):
             return None
-        if straight.kind == "finite" and flipped.kind == "finite":
-            return TruthSet("finite", max(straight.threshold, flipped.threshold))
-        # cofinal hits happen only for eventually-constant pairs, handled above
-        return None
-
-    def sample_nodes(self, rng, count, span=15):
-        return [GridNode(rng.randint(-span, span), rng.randint(-span, span))
-                for _ in range(count)]
+        return sym_add(pure, Aff(0, d - (pure.a * n1 + pure.b), n1))
 
 
 # ====== Catalog ======

@@ -189,6 +189,17 @@ def test_describe_graph_and_point(tmp_path, capsys):
     assert records[2]["result"]["standard"] == "filter-dependent"
 
 
+def test_describe_reads_the_scale_from_the_profile_start(tmp_path, capsys):
+    # |n - 5| is the distance only from n = 5 on; before it, n - 5 is negative
+    jobs = [{"graph": "endless_path", "command": "describe", "x": "p:n-5"},
+            {"graph": "endless_path", "command": "describe", "x": "p:n"}]
+    _, records = run(tmp_path, capsys, jobs)
+    assert records[0]["result"]["scale"] == [0, 1, 2, 3]
+    assert records[0]["result"]["scale_from"] == 5
+    assert records[1]["result"]["scale"] == [0, 1, 2, 3]
+    assert records[1]["result"]["scale_from"] == 0
+
+
 def test_operand_and_literal_failures_exit_one(tmp_path, capsys):
     jobs = [
         {"graph": "ladder", "command": "classify"},

@@ -330,7 +330,9 @@ def test_konig_ray_reads_shells_from_one_ball(monkeypatch):
     monkeypatch.setattr(graphs.PerturbedGrid, "distance", counted)
     monkeypatch.setattr(graphs, "bfs_distance", searched)
     w = konig_ray_witness(pert)
-    assert len(queries) == 8  # the final exact-shell check, n = 0, 7, ..., 49
+    # the profile's one read at its settled index, then the final exact-shell
+    # check at n = 0, 7, ..., 49
+    assert len(queries) == 9
     assert searches == []  # the shells come from the ball, the check from the compressed grid
     for n in range(0, 60, 11):
         assert search(pert, pert.anchor(), node_at(w, n)) == n

@@ -10,7 +10,7 @@ from collections import defaultdict
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nsgraph.graphs import (DEFAULT_BUDGET, EXHAUSTED, EditValidationError,
@@ -18,9 +18,14 @@ from nsgraph.graphs import (DEFAULT_BUDGET, EXHAUSTED, EditValidationError,
                             NodeTerm, NotAMemberError, PathNode, RayNode,
                             UnsupportedOracleError, bfs_distance,
                             make_family, natkey, node_coords)
+from nsgraph.checks import run_check_suite
+from nsgraph.galaxy import GalaxyRelation, closer_than, limitedly_distant
 from nsgraph.kernel import Trivalent, verdict
 from nsgraph.oracles import oracle_distance
-from nsgraph.sequences import (Affine, Constant, Parity, classify, sym_value)
+from nsgraph.ordinal import Ordinal
+from nsgraph.sequences import (Affine, Constant, Parity, classify, sym_start,
+                               sym_value)
+from nsgraph.ultrapower import make_hypernode
 
 EDITS = [{"op": "add", "a": (0, 0), "b": (2, 2)},
          {"op": "remove", "a": (1, 0), "b": (1, 1)}]
@@ -425,7 +430,7 @@ def test_symbolic_distance_parity_split():
     assert c.kind == "split"
 
 
-def test_symbolic_distance_perturbed_brackets_truth():
+def test_symbolic_distance_perturbed_is_exact():
     g = make_family("perturbed_grid", edits=EDITS)
     ta = NodeTerm("grid", (Affine(1, 0), Constant(0)))
     tb = NodeTerm("grid", (Constant(0), Constant(0)))
@@ -433,10 +438,53 @@ def test_symbolic_distance_perturbed_brackets_truth():
     assert classify(sym).kind == "pinf"
     boundedly = NodeTerm("grid", (Affine(1, 1), Constant(0)))
     sym2 = g.symbolic_distance(ta, boundedly)
-    c2 = classify(sym2)
-    assert c2.kind == "range" and c2.lo >= 0
-    for n in range(3, 12):
-        assert c2.lo <= sym_value(sym2, n) <= c2.hi
+    assert classify(sym2).value == 1
+    for n in range(sym_start(sym), sym_start(sym) + 9):
+        x, y, z = (g.term_node(t, n) for t in (ta, tb, boundedly))
+        assert sym_value(sym, n) == bfs_distance(g, x, y)
+        assert sym_value(sym2, n) == bfs_distance(g, x, z) == 1
+
+
+def test_perturbed_correction_waits_for_the_steeper_paths():
+    # through the chord, grid:n,0 -> grid:n,9 costs 2n + 1: the shortest path
+    # until n = 4, though the compressed grid keeps its shape from n = 2 on
+    g = make_family("perturbed_grid", edits=[{"op": "add", "a": (0, 0), "b": (0, 9)}])
+    ta = NodeTerm("grid", (Affine(1, 0), Constant(0)))
+    tb = NodeTerm("grid", (Affine(1, 0), Constant(9)))
+    near = [g.distance(g.term_node(ta, n), g.term_node(tb, n)) for n in range(2, 6)]
+    assert near == [5, 7, 9, 9]
+    sym = g.symbolic_distance(ta, tb)
+    assert classify(sym).value == 9
+    for n in range(sym_start(sym), sym_start(sym) + 4):
+        assert bfs_distance(g, g.term_node(ta, n), g.term_node(tb, n)) == 9
+
+
+# verdicts read from the exact forms
+CUT = [{"op": "remove", "a": (1, 0), "b": (1, 1)}]
+
+
+def test_perturbed_closeness_is_decided_like_the_grid():
+    for g in (make_family("grid2d"), make_family("perturbed_grid"),
+              make_family("perturbed_grid", edits=EDITS)):
+        base = make_hypernode(g, g.anchor_term())
+        near = make_hypernode(g, NodeTerm("grid", (Affine(1, 0), Constant(0))))
+        far = make_hypernode(g, NodeTerm("grid", (Affine(2, 0), Constant(0))))
+        assert closer_than(base, near, far) is Trivalent.TRUE
+        assert closer_than(base, far, near) is Trivalent.FALSE
+
+
+def test_perturbed_bound_is_the_eventual_distance():
+    g = make_family("perturbed_grid", edits=CUT)
+    x = make_hypernode(g, NodeTerm("grid", (Affine(1, 0), Constant(0))))
+    y = make_hypernode(g, NodeTerm("grid", (Affine(1, 3), Constant(0))))
+    v = limitedly_distant(x, y)
+    assert (v.relation, v.certified_bound, v.tight) == (GalaxyRelation.SAME, Ordinal(0, 3), True)
+
+
+def test_perturbed_order_suite_has_no_indeterminate_pair():
+    report = run_check_suite(make_family("perturbed_grid"), "order", seed=0, samples=5)
+    assert report.passed
+    assert report.results[0].detail.endswith(", 0 indeterminate")
 
 
 def test_adjacency_truthsets():
@@ -469,6 +517,44 @@ def test_adjacency_truthset_perturbed_respects_edits():
         NodeTerm("grid", (Affine(1, 0), Constant(0))),
         NodeTerm("grid", (Affine(1, 1), Constant(0))))
     assert verdict(moving) == Trivalent.TRUE
+
+
+# -- symbolic distances against pointwise search, every rank-0 family --
+
+SMALL_SEQ = (st.integers(-6, 9).map(Constant)
+             | st.builds(Affine, st.integers(-1, 2), st.integers(-6, 9)))
+SEQ = SMALL_SEQ | st.builds(Parity, SMALL_SEQ, SMALL_SEQ)
+
+
+@pytest.mark.parametrize("family", ["endless_path", "one_ended_path", "ladder",
+                                    "ladder_with_ray", "grid2d", "perturbed_grid"])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_symbolic_distance_equals_pointwise_distance(family, data):
+    """Constant, affine and parity terms get exact forms that the search confirms."""
+    edits = None
+    if family == "perturbed_grid":
+        edits = data.draw(st.lists(EDIT, min_size=1, max_size=4))
+    try:
+        g = make_family(family, edits)
+    except EditValidationError:
+        assume(False)
+    ta, tb = (NodeTerm(ctor, tuple(data.draw(SEQ) for _ in range(g.TERM_ARITY[ctor])))
+              for ctor in (data.draw(st.sampled_from(sorted(g.TERM_ARITY))) for _ in "ab"))
+    sym = g.symbolic_distance(ta, tb)
+    start = sym_start(sym)
+    indices = range(start, start + 4)  # two settled indices of each parity
+    try:  # the terms name nodes far out too, not only on a prefix
+        pairs = [(g.term_node(ta, n), g.term_node(tb, n))
+                 for n in (*indices, start + 64, start + 65)]
+    except NotAMemberError:
+        assume(False)
+    for branch in classify(sym).branches:
+        assert branch.kind == "pinf" or branch.exact, (ta, tb, sym)
+    for n, (x, y) in zip(indices, pairs):
+        want = bfs_distance(g, x, y) if edits else g.closed_form_distance(x, y)
+        assert sym_value(sym, n) == want, (ta, tb, n)
 
 
 def is_finitely_dispersed(graph, nodes, k: int,
