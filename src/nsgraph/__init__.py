@@ -11,8 +11,8 @@ from .ordinal import (OMEGA, ZERO, Ordinal, compare, natural_sum,
 from .kernel import (EvidenceError, IndeterminateError, Trivalent, TruthSet,
                      cofinite_set, finite_set, in_filter, intersect,
                      parity_split, verdict)
-from .sequences import (Affine, Constant, Explicit, IndexSequence, Parity,
-                        Patched, perturb_sequence, validate_declaration)
+from .sequences import (Affine, Constant, Explicit, Floor, IndexSequence,
+                        Parity, Patched, perturb_sequence, validate_declaration)
 from .graphs import (Exhausted, GraphInstance, NodeTerm, NotAMemberError,
                      make_family)
 from .transfinite import (OneGraph, boundary_one_nodes,
@@ -43,7 +43,7 @@ __all__ = [
     "cofinite_set", "finite_set", "in_filter", "intersect", "parity_split",
     "verdict",
     # index sequences
-    "Affine", "Constant", "Explicit", "IndexSequence", "Parity", "Patched",
+    "Affine", "Constant", "Explicit", "Floor", "IndexSequence", "Parity", "Patched",
     "perturb_sequence", "validate_declaration",
     # graphs of both ranks
     "Exhausted", "GraphInstance", "NodeTerm", "NotAMemberError",

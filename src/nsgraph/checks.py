@@ -91,7 +91,8 @@ def _random_term(graph, rng: random.Random) -> NodeTerm:
         if rng.randrange(2):
             params.append(Constant(rng.randrange(12)))
         else:
-            params.append(Affine(rng.randrange(1, 4), rng.randrange(8)))
+            # slopes of both signs: neither of p:n and p:-n is closer
+            params.append(Affine(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randrange(8)))
     return NodeTerm(ctor, tuple(params))
 
 

@@ -6,13 +6,15 @@ presentations); this module exposes verdict predicates, an order on galaxies
 through representatives, and the constructive witnesses that separate them:
 greedy rays for rank 0, boundary rays for rank 1, and the
 compression/expansion chain that turns one non-principal galaxy into a
-two-way ladder of them.
+two-way ladder of them.  A chain entry is a plain term: the seed's
+arguments read at 2^g * n or at floor(n / 2^g) + s, which keeps affine and
+floor arguments floor arguments, and the chain is ordered by the same
+classification as every other verdict.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,34 +22,32 @@ from .graphs import DEFAULT_BUDGET, GraphInstance, NodeTerm, node_coords
 from .kernel import IndeterminateError, Trivalent
 from .ordinal import Ordinal
 from .sequences import (
-    Aff,
     Affine,
     Cls,
-    Composed,
     Constant,
     Explicit,
-    Graded,
+    Floor,
     IndexSequence,
     MonotoneUnboundedDecl,
-    Opaque,
     Patched,
     SymInt,
     classify,
     sym_start,
     sym_sub,
-    sym_value,
 )
 from .transfinite import OneGraph, OneNodeId, boundary_one_nodes, wdistance
 from .ultrapower import (
-    AnchorProfile,
     Hypernode,
+    anchor_profile,
     hyperdistance,
     make_hypernode,
     node_at,
     require_same_enlargement,
 )
 
-SCAN_CAP = 200_000  # hard stop for "unbounded" generators that stall
+SCAN_CAP = 200_000  # hard stop for a boundary enumeration that stalls
+MAX_CHAIN_DEPTH = 1000
+RAY_PROBE = 120  # boundary-ray steps a fitted presentation must reproduce
 
 
 class InapplicableFamilyError(ValueError):
@@ -181,9 +181,9 @@ class ChainEntry:
 class GalaxyChain:
     """2m+1 galaxy representatives strictly ordered by closeness.
 
-    Entries are ordered by grade -m..+m; grade 0 carries the (monotonised)
-    seed, negative grades are compressions toward the principal galaxy,
-    positive grades expansions away from it.
+    Entries are ordered by grade -m..+m; grade 0 is the seed, negative
+    grades are compressions toward the principal galaxy, positive grades
+    expansions away from it.
     """
 
     base: Hypernode
@@ -194,153 +194,81 @@ class GalaxyChain:
         return self.entries[mid + grade].hypernode
 
 
-def _scan_guard(span: int, what: str) -> None:
-    if span > SCAN_CAP:
-        raise ChainConstructionError(f"{what} stalled: no growth within {SCAN_CAP} indices")
+def _reindex(seq: IndexSequence, grade: int, shift: int) -> tuple[int, int, int, int]:
+    """The fields of the Floor that is seq read at 2^grade * n, or for
+    grade -h < 0 at floor(n / 2^h) + shift.
+
+    Expansion of a * floor((n + c) / 2^e) + b by 2^g: for g >= e the quotient
+    is 2^(g-e) * n + floor(c / 2^e); for g < e, since floor(floor(x) / m) =
+    floor(x / m) for an integer m >= 1, it is floor((n + floor(c / 2^g)) /
+    2^(e-g)).  Compression: floor(n / 2^h) + shift + c is
+    floor((n + 2^h * (shift + c)) / 2^h), so by the same identity the
+    quotient is floor((n + 2^h * (shift + c)) / (2^h * q)).  Affine and
+    constant arguments are the case q = 1.  A patched argument is read
+    through its tail, which it equals at all but finitely many indices.
+    """
+    if isinstance(seq, Patched):
+        return _reindex(seq.tail, grade, shift)
+    if isinstance(seq, Constant):
+        seq = Floor(0, seq.c, 1)
+    elif isinstance(seq, Affine):
+        seq = Floor(seq.a, seq.b, 1)
+    if not isinstance(seq, Floor) or seq.q & (seq.q - 1):
+        raise ChainConstructionError(
+            f"cannot reindex the seed argument {seq.describe()}: the chain "
+            f"takes constant, affine or power-of-two floor arguments")
+    a, b, q, c = seq.a, seq.b, seq.q, seq.c
+    if grade < 0:
+        return a, b, q << -grade, (shift + c) << -grade
+    e = q.bit_length() - 1
+    if grade < e:
+        return a, b, q >> grade, c >> grade
+    return a << (grade - e), a * (c >> e) + b, 1, 0
 
 
-class _MonotonePicks:
-    """Greedy strictly-increasing extraction of a nondecreasing generator."""
-
-    def __init__(self, value: Callable[[int], int], start: int):
-        self.value = value
-        self.picks = [start]
-
-    def __call__(self, t: int) -> int:
-        while len(self.picks) <= t:
-            prev = self.picks[-1]
-            bar = self.value(prev)
-            j = prev + 1
-            while self.value(j) <= bar:
-                j += 1
-                _scan_guard(j - prev, "monotone extraction")
-            self.picks.append(j)
-        return self.picks[t]
-
-
-class _StaircasePicks:
-    """Compression re-indexing: on the block n_{k-1} <= n < n_k the entry
-    replays index n_{k-2}, so the gap to the source generator exceeds k-2."""
-
-    def __init__(self, value: Callable[[int], int], start: int):
-        self.value = value
-        self.marks = [start]  # marks[k] = n_k
-
-    def _extend_marks(self, upto: int) -> None:
-        while self.marks[-1] <= upto:
-            k = len(self.marks)
-            prev = self.marks[-1]
-            bar = self.value(prev) + k
-            j = prev + 1
-            while self.value(j) <= bar:
-                j += 1
-                _scan_guard(j - prev, "compression staircase")
-            self.marks.append(j)
-
-    def __call__(self, n: int) -> int:
-        self._extend_marks(n)
-        k = 0
-        while self.marks[k + 1] <= n:
-            k += 1
-        # n sits in [n_k, n_{k+1}); replay n_{k-1}... two steps behind n_{k+1}
-        return self.marks[max(k - 1, 0)]
-
-
-class _ExpansionPicks:
-    """Expansion re-indexing: the entry at n replays the first index whose
-    generator value clears value(n) + n, so the gap grows at least linearly."""
-
-    def __init__(self, value: Callable[[int], int], start: int):
-        self.value = value
-        self.start = start
-        self.picks: list[int] = []
-
-    def __call__(self, n: int) -> int:
-        while len(self.picks) <= n:
-            t = len(self.picks)
-            j = max(self.picks[-1] + 1 if self.picks else self.start, self.start)
-            need = self.value(self.start + t) + t
-            while self.value(j) < need:
-                j += 1
-                _scan_guard(j - self.start, "expansion")
-            self.picks.append(j)
-        return self.picks[n]
-
-
-def _chain_entry(seed: Hypernode, index_map: Callable[[int], int],
-                 token: object, grade: int) -> tuple[ChainEntry, Callable[[int], int]]:
-    graph = seed.graph
-    scalar = seed.profile.omega if seed.rank else seed.profile.finite
-
-    def generator(n: int) -> int:
-        return sym_value(scalar, index_map(n))
-
-    params = tuple(Composed(p, index_map, label=f"chain[{grade:+d}]")
-                   for p in seed.term.params)
-    term = NodeTerm(seed.term.ctor, params)
-    graded = Graded(generator, token, grade)
-    if seed.rank:
-        anchor = graph.anchor_term()
-
-        def finite_part(n: int) -> int:
-            return wdistance(graph, graph.term_node(term, n),
-                             graph.term_node(anchor, n)).finite_part
-
-        profile = AnchorProfile(graded, Opaque(fn=finite_part, lo=0))
-    else:
-        profile = AnchorProfile(Aff(0, 0), graded)
-    entry = ChainEntry(grade, Hypernode(graph, term, seed.rank, profile))
-    return entry, generator
+def _reindexed_entry(seed: Hypernode, grade: int, shift: int) -> ChainEntry:
+    """The chain entry of the given grade, its arguments labelled by grade."""
+    term = NodeTerm(seed.term.ctor, tuple(
+        Floor(*_reindex(p, grade, shift), label=f"chain[{grade:+d}]({p.describe()})")
+        for p in seed.term.params))
+    # the entry at n is the seed at an index >= 0: a member where the seed is
+    return ChainEntry(grade, Hypernode(seed.graph, term, seed.rank,
+                                       anchor_profile(seed.graph, term)))
 
 
 def build_galaxy_chain(seed: Hypernode, depth: int,
                        base: Hypernode | None = None) -> GalaxyChain:
-    """Two-way chain of 2*depth+1 pairwise-separated galaxies around the seed.
+    """Two-way chain of 2*depth+1 galaxies around the seed, ordered by closeness.
 
-    Negative grades iterate the staircase compression, positive grades the
-    linear expansion; the result self-certifies by running every pairwise
-    closer_than check before returning.
+    Grade g >= 0 reads the seed's arguments at 2^g * n, grade -g at
+    floor(n / 2^g) + s, where s is the start of the seed's distance form, so
+    every entry reads the seed where that form holds.  Each entry is a plain
+    term with the family's distance form, and each adjacent pair is decided
+    by closer_than, as any user pair is; the gaps add, so the whole chain is
+    ordered.  Entry g holds coefficients of about g bits, so the depth is
+    capped at MAX_CHAIN_DEPTH.
     """
     if depth < 0:
         raise ValueError("chain depth must be a natural number")
-    graph = seed.graph
+    if depth > MAX_CHAIN_DEPTH:
+        raise ChainConstructionError(
+            f"chain depth {depth} exceeds the cap {MAX_CHAIN_DEPTH}")
     if base is None:
-        base = anchor_hypernode(graph)
+        base = anchor_hypernode(seed.graph)
     require_same_enlargement(seed, base)
     if in_principal_galaxy(base).relation is not GalaxyRelation.SAME:
         raise ValueError("the base point must sit in the principal galaxy")
     if in_principal_galaxy(seed).relation is not GalaxyRelation.DIFFERENT:
         raise ChainConstructionError(
             "the seed must be certified outside the principal galaxy")
-    scalar = seed.profile.omega if seed.rank else seed.profile.finite
-    start = sym_start(scalar)
-    token = object()
-
-    def seed_value(n: int) -> int:
-        return sym_value(scalar, max(n, start))
-
-    map_at: dict[int, Callable[[int], int]] = {0: _MonotonePicks(seed_value, start)}
-    by_grade: dict[int, ChainEntry] = {}
-    gen_at: dict[int, Callable[[int], int]] = {}
-    by_grade[0], gen_at[0] = _chain_entry(seed, map_at[0], token, 0)
-    for g in range(1, depth + 1):
-        inner = _StaircasePicks(gen_at[-(g - 1)], 0)
-        map_at[-g] = _compose_maps(map_at[-(g - 1)], inner)
-        by_grade[-g], gen_at[-g] = _chain_entry(seed, map_at[-g], token, -g)
-        stretch = _ExpansionPicks(gen_at[g - 1], 0)
-        map_at[g] = _compose_maps(map_at[g - 1], stretch)
-        by_grade[g], gen_at[g] = _chain_entry(seed, map_at[g], token, g)
-    entries = tuple(by_grade[g] for g in range(-depth, depth + 1))
-    for a, b in itertools.combinations(entries, 2):
-        if closer_than(base, a.hypernode, b.hypernode) is not Trivalent.TRUE:
-            raise ChainConstructionError(
-                f"chain entries {a.grade} and {b.grade} failed the order check")
+    shift = sym_start(seed.profile.omega if seed.rank else seed.profile.finite)
+    entries = tuple(_reindexed_entry(seed, g, shift) for g in range(-depth, depth + 1))
+    for a, b in zip(entries, entries[1:]):
+        verdict = closer_than(base, a.hypernode, b.hypernode)
+        if verdict is not Trivalent.TRUE:
+            raise ChainConstructionError(f"chain entries {a.grade} and {b.grade} "
+                                         f"failed the order check: {verdict.value}")
     return GalaxyChain(base, entries)
-
-
-def _compose_maps(outer: Callable[[int], int],
-                  inner: Callable[[int], int]) -> Callable[[int], int]:
-    return lambda n: outer(inner(n))
 
 
 # ====== Constructive witnesses ======
@@ -353,25 +281,33 @@ def _ctor_of(graph: GraphInstance, node) -> str:
     raise ChainConstructionError(f"no constructor reproduces {node!r}")
 
 
-def _affine_tail_params(coords: list[tuple[int, ...]],
-                        probe: int) -> tuple[IndexSequence, ...] | None:
-    """Exact affine-tail presentation of a coordinate table, if one exists."""
-    width = len(coords[0])
-    for t0 in range(0, probe - 10):
-        steps = [tuple(coords[t + 1][i] - coords[t][i] for i in range(width))
-                 for t in range(t0, probe - 1)]
-        if any(s != steps[0] for s in steps):
-            continue
-        params = []
-        for i in range(width):
-            a = steps[0][i]
-            b = coords[t0][i] - a * t0
-            tail: IndexSequence = Affine(a, b) if a else Constant(b)
-            overrides = tuple((t, coords[t][i]) for t in range(t0)
-                              if coords[t][i] != a * t + b)
-            params.append(Patched(tail, overrides) if overrides else tail)
-        return tuple(params)
-    return None
+def _fit_tail(column: list[int]) -> IndexSequence | None:
+    """An exact presentation of a table of values: a floor tail, patched below.
+
+    The tail a * floor((t + c) / q) + b, q in 1, 2, 4, 8, is read off the last
+    values and must reproduce at least the last max(12, 4q); the longest
+    suffix wins, the smaller q on a tie.  None when no tail fits.
+    """
+    size, last = len(column), len(column) - 1
+    best: tuple[int, IndexSequence] | None = None
+    for q in (1, 2, 4, 8):
+        if size < max(12, 4 * q):
+            break
+        a = column[last] - column[last - q]  # one step of the quotient per q indices
+        for c in range(q):
+            tail = Floor(a, column[last] - a * ((last + c) // q), q, c)
+            t0 = size
+            while t0 and column[t0 - 1] == tail.value(t0 - 1):
+                t0 -= 1
+            if size - t0 >= max(12, 4 * q) and (best is None or t0 < best[0]):
+                best = t0, tail
+    if best is None:
+        return None
+    t0, tail = best
+    if tail.q == 1:
+        tail = Affine(tail.a, tail.b) if tail.a else Constant(tail.b)
+    overrides = tuple((t, column[t]) for t in range(t0) if column[t] != tail.value(t))
+    return Patched(tail, overrides) if overrides else tail
 
 
 def konig_ray_witness(graph: GraphInstance, origin=None,
@@ -394,12 +330,9 @@ def konig_ray_witness(graph: GraphInstance, origin=None,
     _follow_shells(graph, on_shell, steps, probe + 1)
     ctor = _ctor_of(graph, origin)
     coords = [node_coords(node) for node in steps]
-    params = _affine_tail_params(coords, probe)
-    if params is not None:
-        term = NodeTerm(ctor, params)
-        if any(graph.term_node(term, t) != steps[t] for t in range(probe)):
-            params = None
-    if params is None:
+    params = tuple(_fit_tail([c[i] for c in coords]) for i in range(len(coords[0])))
+    term = None if None in params else NodeTerm(ctor, params)
+    if term is None or any(graph.term_node(term, t) != steps[t] for t in range(probe)):
         def coord_fn(i: int) -> Callable[[int], int]:
             return lambda n: _ray_extend(graph, on_shell, steps, n)[i]
 
@@ -477,7 +410,10 @@ def boundary_ray_witness(g: OneGraph, origin: OneNodeId | None = None) -> Hypern
     """A 1-point whose omega coefficient from the origin clears k at index k.
 
     Walks the boundary 1-nodes outward, recording for each k the least one
-    whose walk distance from the origin reaches omega * k.
+    whose walk distance from the origin reaches omega * k.  The indices of
+    the first RAY_PROBE steps are fitted by a floor tail when one reproduces
+    them, as the König ray fits its coordinates; otherwise the walk itself
+    is the argument.
     """
     missing = [name for name, ok in [
         ("locally 1-finite", g.locally_1_finite),
@@ -493,27 +429,25 @@ def boundary_ray_witness(g: OneGraph, origin: OneNodeId | None = None) -> Hypern
     g.require_member(origin)
 
     found: list[OneNodeId] = []        # boundary 1-nodes in index order
-    omega_cache: dict[int, int] = {}
     marks: list[int] = []              # marks[k] = position in found for index k
     horizon = [8]
 
     def extend_boundary(pos: int) -> None:
         while len(found) <= pos:
             horizon[0] *= 2
-            _scan_guard(horizon[0], "boundary enumeration")
+            if horizon[0] > SCAN_CAP:
+                raise ChainConstructionError(
+                    f"boundary enumeration stalled: no growth within {SCAN_CAP} indices")
             found[:] = boundary_one_nodes(g, horizon[0])
 
     def omega_of(pos: int) -> int:
-        if pos not in omega_cache:
-            extend_boundary(pos)
-            omega_cache[pos] = wdistance(g, origin, found[pos]).omega_coeff
-        return omega_cache[pos]
+        extend_boundary(pos)
+        return wdistance(g, origin, found[pos]).omega_coeff
 
     def mark(k: int) -> int:
         while len(marks) <= k:
-            want = len(marks)
             pos = marks[-1] if marks else 0
-            while omega_of(pos) < want:
+            while omega_of(pos) < len(marks):
                 pos += 1
             marks.append(pos)
         return marks[k]
@@ -521,10 +455,10 @@ def boundary_ray_witness(g: OneGraph, origin: OneNodeId | None = None) -> Hypern
     def index_fn(k: int) -> int:
         return found[mark(k)].index
 
-    extend_boundary(0)
-    term = NodeTerm(found[0].kind, (Explicit(index_fn, MonotoneUnboundedDecl(),
-                                             label="boundary-ray"),))
-    return make_hypernode(g, term)
+    index = _fit_tail([index_fn(k) for k in range(RAY_PROBE)])
+    if index is None:
+        index = Explicit(index_fn, MonotoneUnboundedDecl(), label="boundary-ray")
+    return make_hypernode(g, NodeTerm(found[0].kind, (index,)))
 
 
 # ====== Order report ======

@@ -20,9 +20,9 @@ from typing import Iterator, NamedTuple
 
 from . import sequences as sq
 from .kernel import TruthSet
-from .sequences import (Aff, IndexSequence, Opaque, SymInt, classify,
-                        eq_const_truthset, per_parity, sym_abs, sym_add,
-                        sym_start, sym_sub, zone_by_magnitude)
+from .sequences import (Aff, IndexSequence, Opaque, SymInt, eq_const_truthset,
+                        per_parity, sym_abs, sym_add, sym_start, sym_sub,
+                        sym_widen, zone_by_magnitude)
 
 
 class NotAMemberError(ValueError):
@@ -567,7 +567,8 @@ class PerturbedGrid(Grid2D):
         constant of the paths of p's slope, and one query at n1 reads it.
         With no moving coordinate every path length is constant: n1 = n0.
     A branch with a coordinate that is not affine keeps the bracket
-    [p - S, p + D] around its pointwise evaluator.
+    [p - S, p + D] of (a) around its pointwise evaluator; a floor
+    coordinate's band keeps its slope inside it.
     """
 
     family = "perturbed_grid"
@@ -702,13 +703,7 @@ class PerturbedGrid(Grid2D):
         """One parity branch: the pristine form plus its eventual correction."""
         pure = _manhattan(sk, sl, tk, tl)
         if not all(isinstance(s, Aff) for s in (sk, sl, tk, tl)):
-            c, start = classify(pure), sym_start(pure)
-            if c.kind == "pinf":
-                return Opaque(fn, to_pinf=True, start=start)
-            if c.kind == "range":
-                return Opaque(fn, lo=max(0, c.lo - self.max_shortcut),
-                              hi=c.hi + self.max_detour, start=start)
-            return None
+            return sym_widen(pure, -self.max_shortcut, self.max_detour, fn)
         n0 = max(s.start for s in (sk, sl, tk, tl))
         for moving, fixed in (((sk, tk), self._cols), ((sl, tl), self._rows)):
             lines = [(s.a, s.b) for s in moving] + [(0, c) for c in fixed]

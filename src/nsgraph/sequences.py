@@ -6,7 +6,10 @@ verdicts, hyperordinal comparison) reduces to classifying the eventual
 behaviour of derived integer sequences, so alongside the evaluatable
 sequences there is a small symbolic form (SymInt) closed under the
 arithmetic the distance formulas need: add, subtract, negate, absolute
-value, nonnegative scaling.
+value, nonnegative scaling.  Its four variants are an exact affine form
+(`Aff`), a band around a rational line (`Band`, the form of floor
+quotients), a parity split (`ParityS`) and a class-only evaluator
+(`Opaque`).
 
 Symbolic semantics are cofinite: a SymInt describes the sequence for all but
 finitely many n (never before its `start`).  Finite perturbations of a
@@ -24,7 +27,9 @@ when a branch fails, rejoin.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Mapping
 
 from .kernel import TruthSet
@@ -177,21 +182,42 @@ class Explicit(IndexSequence):
 
 
 @dataclass(frozen=True)
-class Composed(IndexSequence):
-    """base evaluated through a reindexing map (used by constructed witnesses)."""
+class Floor(IndexSequence):
+    """a * floor((n + c) / q) + b, for a divisor q >= 1.
 
-    base: IndexSequence
-    reindex: Callable[[int], int]
-    label: str = "reindexed"
+    Its band (see `Band`): with r = (n + c) mod q, which lies in [0, q - 1],
+        floor((n + c) / q) = (n + c - r) / q,  so
+        v(n) = (a/q)*n + (a*c/q + b) - (a/q)*r.
+    The ends r = 0 and r = q - 1 give the offsets a*c/q + b and
+    a*(c - q + 1)/q + b, the smaller one below.  This holds at every integer
+    n, also where n + c < 0, since r is the nonnegative remainder.
+
+    A label, when given, is the description; equality ignores it.
+    """
+
+    a: int
+    b: int
+    q: int
+    c: int = 0
+    label: str | None = dataclasses.field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.q < 1:
+            raise ValueError("floor divisor must be positive")
 
     def value(self, n: int) -> int:
-        return self.base.value(self.reindex(n))
+        return self.a * ((n + self.c) // self.q) + self.b
 
     def to_sym(self) -> "SymInt":
-        return Opaque(self.value)
+        if self.q == 1 or self.a == 0:
+            return Aff(self.a, self.a * self.c + self.b)  # affine: no Fractions
+        top = Fraction(self.a * self.c, self.q) + self.b
+        bottom = top - Fraction(self.a * (self.q - 1), self.q)
+        return band(Fraction(self.a, self.q), min(top, bottom), max(top, bottom),
+                    self.value)
 
     def describe(self) -> str:
-        return f"{self.label}({self.base.describe()})"
+        return self.label or f"floor({self.a},{self.b},{self.q},{self.c})"
 
 
 def perturb_sequence(seq: IndexSequence, overrides: Mapping[int, int]) -> IndexSequence:
@@ -257,22 +283,52 @@ class Opaque:
 
 
 @dataclass(frozen=True)
-class Graded:
-    """Construction-certified staircase within one chain token.
+class Band:
+    """slope*n + lo <= v(n) <= slope*n + hi at every n from start on.
 
-    Nonnegative, tends to +infinity; for two Graded leaves sharing a token,
-    the one with the larger grade eventually exceeds the other by any margin.
-    The grades encode the quantitative guarantees the chain builder enforces
-    while extending the construction, so their subtraction rule is sound.
+    slope, lo and hi are Fractions and fn evaluates v; `band` builds them.
+    Each rule holds pointwise at every n past the inputs' starts:
+    - add: the two pairs of bounds add, so slopes and offsets add;
+    - neg: -v lies between -slope*n - hi and -slope*n - lo;
+    - scale by k >= 0: k*v lies between k*slope*n + k*lo and k*slope*n + k*hi;
+    - classify: for slope > 0 the lower bound, hence v, passes every level
+      (slope < 0 from above likewise); for slope 0 the integer v lies in
+      [ceil lo, floor hi], a single value only when the two ends are equal;
+    - abs, slope > 0: from the first n with slope*n + lo > -1 on, the
+      integer v is >= 0, so |v| = v keeps the band (slope < 0: negate first);
+    - zero set, slope > 0: from the first n with slope*n + lo > 0 on, v > 0.
     """
 
-    fn: Callable[[int], int]
-    token: object
-    grade: int
+    slope: Fraction
+    lo: Fraction
+    hi: Fraction
+    fn: Callable[[int], int] | None = None
     start: int = 0
 
 
-SymInt = Aff | ParityS | Opaque | Graded
+SymInt = Aff | ParityS | Opaque | Band
+
+
+def band(slope: Fraction, lo: Fraction, hi: Fraction,
+         fn: Callable[[int], int] | None, start: int = 0) -> SymInt:
+    """The band, with integer ends when flat; an exact one is an `Aff`."""
+    if slope == 0:
+        # the integer values lie in [ceil lo, floor hi]
+        lo, hi = Fraction(math.ceil(lo)), Fraction(math.floor(hi))
+    if lo == hi and lo.denominator == 1 and slope.denominator == 1:
+        return Aff(int(slope), int(lo), start)
+    return Band(slope, lo, hi, fn, start)
+
+
+def _as_band(x: "Aff | Band") -> Band:
+    if isinstance(x, Band):
+        return x
+    return Band(Fraction(x.a), Fraction(x.b), Fraction(x.b), _fn_of(x), x.start)
+
+
+def _clears(x: Band, level: int) -> int:
+    """First index from x's start on past which a rising band stays above level."""
+    return max(x.start, math.floor((level - x.lo) / x.slope) + 1)
 
 
 def sym_value(sym: SymInt, n: int) -> int:
@@ -327,14 +383,6 @@ def per_parity(fn: Callable, *args, join: Callable = parity_sym):
     if even is None or odd is None:
         return None
     return join(even, odd)
-
-
-def _combine_fn(op: Callable[[int, int], int],
-                f: Callable[[int], int] | None,
-                g: Callable[[int], int] | None) -> Callable[[int], int] | None:
-    if f is None or g is None:
-        return None
-    return lambda n: op(f(n), g(n))
 
 
 # ====== Eventual-behaviour classification ======
@@ -416,8 +464,10 @@ def classify(sym: SymInt) -> Cls:
         if e == o:
             return e
         return Cls("split", even=e, odd=o)
-    if isinstance(sym, Graded):
-        return PINF
+    if isinstance(sym, Band):
+        if sym.slope:
+            return PINF if sym.slope > 0 else NINF
+        return _range(int(sym.lo), int(sym.hi))  # flat ends are unequal integers
     if sym.to_pinf:
         return PINF
     if sym.to_ninf:
@@ -459,13 +509,12 @@ def sym_neg(x: SymInt) -> SymInt:
     if isinstance(x, ParityS):
         return per_parity(sym_neg, x)
     fn = None if _fn_of(x) is None else (lambda n, f=_fn_of(x): -f(n))
+    if isinstance(x, Band):
+        return band(-x.slope, -x.hi, -x.lo, fn, x.start)
     c = classify(x)
-    neg = {"pinf": NINF, "ninf": PINF}.get(c.kind)
-    if neg is not None:
-        return _from_cls(neg, fn, sym_start(x))
     if c.kind == "range":
         return _from_cls(_range(-c.hi, -c.lo, c.exact), fn, sym_start(x))
-    return Opaque(fn, start=sym_start(x))
+    return _from_cls({"pinf": NINF, "ninf": PINF}.get(c.kind, c), fn, sym_start(x))
 
 
 def _fn_of(x: SymInt) -> Callable[[int], int] | None:
@@ -480,19 +529,15 @@ def sym_add(x: SymInt, y: SymInt) -> SymInt:
     if isinstance(x, ParityS) or isinstance(y, ParityS):
         return per_parity(sym_add, x, y)
     start = max(sym_start(x), sym_start(y))
-    fn = _combine_fn(lambda a, b: a + b, _fn_of(x), _fn_of(y))
+    f, g = _fn_of(x), _fn_of(y)
+    fn = None if f is None or g is None else (lambda n: f(n) + g(n))
+    if isinstance(x, (Aff, Band)) and isinstance(y, (Aff, Band)):
+        bx, by = _as_band(x), _as_band(y)
+        return band(bx.slope + by.slope, bx.lo + by.lo, bx.hi + by.hi, fn, start)
     return _from_cls(_cls_add(classify(x), classify(y)), fn, start)
 
 
 def sym_sub(x: SymInt, y: SymInt) -> SymInt:
-    if isinstance(x, Graded) and isinstance(y, Graded) and x.token is y.token:
-        start = max(x.start, y.start)
-        if x.grade == y.grade:
-            return Aff(0, 0, start)
-        fn = _combine_fn(lambda a, b: a - b, x.fn, y.fn)
-        if x.grade > y.grade:
-            return Opaque(fn, to_pinf=True, start=start)
-        return Opaque(fn, to_ninf=True, start=start)
     return sym_add(x, sym_neg(y))
 
 
@@ -507,8 +552,12 @@ def sym_abs(x: SymInt) -> SymInt:
         return Aff(0, abs(x.b), x.start)
     if isinstance(x, ParityS):
         return per_parity(sym_abs, x)
+    if isinstance(x, Band) and x.slope < 0:
+        return sym_abs(sym_neg(x))
     c = classify(x)
     fn = None if _fn_of(x) is None else (lambda n, f=_fn_of(x): abs(f(n)))
+    if isinstance(x, Band) and x.slope:
+        return dataclasses.replace(x, fn=fn, start=_clears(x, -1))
     if c.kind in ("pinf", "ninf"):
         return _from_cls(PINF, fn, sym_start(x))
     if c.kind == "range":
@@ -529,11 +578,25 @@ def sym_scale(k: int, x: SymInt) -> SymInt:
         return per_parity(sym_scale, k, x)
     if k == 0:
         return Aff(0, 0, sym_start(x))
-    c = classify(x)
     fn = None if _fn_of(x) is None else (lambda n, f=_fn_of(x): k * f(n))
+    if isinstance(x, Band):
+        return band(k * x.slope, k * x.lo, k * x.hi, fn, x.start)
+    c = classify(x)
     if c.kind == "range":
         return _from_cls(_range(k * c.lo, k * c.hi, c.exact), fn, sym_start(x))
     return _from_cls(c, fn, sym_start(x))
+
+
+def sym_widen(x: SymInt, lo: int, hi: int, fn: Callable[[int], int]) -> SymInt:
+    """A sequence, evaluated by fn, between x + lo and x + hi at every index.
+
+    On one parity branch: a band or an affine form widens its offsets and
+    keeps its slope; any other form keeps only its class, widened.
+    """
+    if isinstance(x, (Aff, Band)):
+        b = _as_band(x)
+        return band(b.slope, b.lo + lo, b.hi + hi, fn, b.start)
+    return _from_cls(_cls_add(classify(x), _range(lo, hi)), fn, sym_start(x))
 
 
 # ====== Truth sets from symbolic deltas ======
@@ -554,6 +617,8 @@ def eq_truthset(delta: SymInt) -> TruthSet | None:
         if root is not None and root >= delta.start:
             return TruthSet("finite", root + 1)
         return TruthSet("finite", delta.start)
+    if isinstance(delta, Band) and delta.slope:
+        return TruthSet("finite", _clears(delta if delta.slope > 0 else sym_neg(delta), 0))
     c = classify(delta)
     if c.kind == "range" and not c.exact and (c.lo > 0 or c.hi < 0):
         return TruthSet("finite", sym_start(delta))  # brackets hold pointwise
@@ -585,10 +650,9 @@ def _zone_from(mag: SymInt, images: tuple[int, int, int]) -> SymInt | None:
     c = classify(mag)
     start = sym_start(mag)
     if c.kind == "pinf":
-        if isinstance(mag, Aff):
+        if isinstance(mag, (Aff, Band)):
             # settle where the magnitude has provably reached 2
-            settle = max(start, -((mag.b - 2) // mag.a))
-            return Aff(0, images[2], settle)
+            return Aff(0, images[2], _clears(_as_band(mag), 1))
         return None  # divergence without a computable settle point
     if c.value is not None:
         return Aff(0, images[min(c.value, 2)], start)

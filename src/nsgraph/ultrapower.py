@@ -79,8 +79,13 @@ def make_hypernode(graph, term: NodeTerm, prefix: int = 64) -> Hypernode:
     start = _param_start(term)
     for n in range(start, start + prefix + 1):
         graph.term_node(term, n)  # raises NotAMemberError on a bad index
+    return Hypernode(graph, term, graph.rank, anchor_profile(graph, term))
+
+
+def anchor_profile(graph, term: NodeTerm) -> AnchorProfile:
+    """The term's distance forms to the family anchor."""
     to_anchor = _term_pair_distance(graph, term, graph.anchor_term())
-    return Hypernode(graph, term, graph.rank, AnchorProfile(to_anchor.omega, to_anchor.finite))
+    return AnchorProfile(to_anchor.omega, to_anchor.finite)
 
 
 def node_at(h: Hypernode, n: int):

@@ -160,7 +160,7 @@ def test_witness_command_on_both_ranks(tmp_path, capsys):
     code, records = run(tmp_path, capsys, jobs)
     assert code == 1  # the ladder has no locally finite shells
     assert records[0]["result"]["term"] == "grid:affine(-1,0),const(0)"
-    assert records[1]["result"]["term"] == "x1:boundary-ray"
+    assert records[1]["result"]["term"] == "x1:patched({0:1},floor(1,0,2,1))"
     assert all(r["result"]["relation"] == "different-galaxy"
                for r in records[:2])
     assert "not locally finite" in records[2]["error"]
@@ -174,6 +174,27 @@ def test_check_command_reports_per_invariant(tmp_path, capsys):
     result = records[0]["result"]
     assert result["passed"] and len(result["results"]) == 3
     assert all(r["checked"] == 100 for r in result["results"])
+
+
+def test_order_suite_samples_an_incomparable_pair(tmp_path, capsys):
+    # slopes of both signs: on the endless path p:an+b and p:-cn+d recede on
+    # opposite sides, and neither galaxy is closer
+    jobs = [{"graph": "endless_path", "command": "check", "suite": "order",
+             "samples": 6}]
+    code, records = run(tmp_path, capsys, jobs, "--seed", "7")
+    assert code == 0 and records[0]["status"] == "ok"
+    detail = records[0]["result"]["results"][0]["detail"]
+    assert detail == ("1 same-galaxy, 3 incomparable, 0 filter-dependent, "
+                      "0 indeterminate")
+
+
+def test_chain_deeper_than_the_cap_is_one_error_record(tmp_path, capsys):
+    jobs = [dict(OEP_CHAIN, m=1001), OEP_CHAIN]
+    code, records = run(tmp_path, capsys, jobs)
+    assert code == 1 and len(records) == 2
+    assert records[0]["status"] == "error" and "result" not in records[0]
+    assert "exceeds the cap 1000" in records[0]["error"]
+    assert records[1]["status"] == "ok"
 
 
 def test_describe_graph_and_point(tmp_path, capsys):

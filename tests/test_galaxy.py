@@ -8,18 +8,21 @@ before being written down; the sweeps keep re-deriving the pointwise side.
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from nsgraph import graphs
-from nsgraph.galaxy import (ChainConstructionError, GalaxyRelation,
+from nsgraph import galaxy, graphs
+from nsgraph.galaxy import (MAX_CHAIN_DEPTH, ChainConstructionError, GalaxyRelation,
                             GalaxyVerdict, InapplicableFamilyError,
                             anchor_hypernode, boundary_ray_witness,
                             build_galaxy_chain, closer_than,
                             in_principal_galaxy, konig_ray_witness,
                             limitedly_distant, verify_partial_order)
-from nsgraph.graphs import GridNode, NodeTerm, PathNode, make_family
+from nsgraph.graphs import GridNode, NodeTerm, NotAMemberError, PathNode, make_family
 from nsgraph.kernel import Trivalent
 from nsgraph.ordinal import Ordinal
-from nsgraph.sequences import Affine, Constant, Parity, ParityS, sym_value
+from nsgraph.sequences import (Affine, Constant, Explicit, Floor, MonotoneUnboundedDecl,
+                               Parity, ParityS, Patched, sym_start, sym_value)
 from nsgraph.transfinite import make_one_graph, wdistance, wdistance_witness
 from nsgraph.ultrapower import (hyperdistance, make_hyperbranch,
                                 make_hypernode, node_at)
@@ -281,6 +284,114 @@ def test_galaxy_chain_over_one_graph():
     assert closer_than(base, chain.entry(-3), chain.entry(0)) is Trivalent.TRUE
 
 
+def test_reindexed_arguments_read_the_seed_at_the_mapped_index():
+    shift = 3
+    seeds = [Constant(4), Affine(-2, 5), Floor(3, -1, 4, 7), Floor(-1, 2, 8, -5),
+             Patched(Affine(1, 2), ((0, 9),))]
+    for seq in seeds:
+        tail = seq.tail if isinstance(seq, Patched) else seq
+        for g in range(-4, 5):
+            mapped = Floor(*galaxy._reindex(seq, g, shift))
+            for n in range(0, 90):
+                at = n * 2 ** g if g >= 0 else n // 2 ** -g + shift
+                assert mapped.value(n) == tail.value(at), (seq, g, n)
+
+
+def test_chain_refuses_arguments_it_cannot_reindex():
+    oep = make_family("one_ended_path")
+    seeds = [(Parity(Affine(1, 0), Affine(2, 0)), "parity"),
+             (Explicit(lambda n: n * n, MonotoneUnboundedDecl(), label="squares"), "squares"),
+             (Floor(1, 0, 3), r"floor\(1,0,3,0\)")]
+    for param, name in seeds:
+        with pytest.raises(ChainConstructionError, match=rf"argument {name}"):
+            build_galaxy_chain(hyper(oep, "p", param), 1)
+
+
+def test_chain_order_comes_from_the_distances(monkeypatch):
+    """Entries that are all the seed, or that all recede at one rate, fail."""
+    oep = make_family("one_ended_path")
+    seed = hyper(oep, "p", Affine(1, 0))
+    reindex = galaxy._reindex
+    monkeypatch.setattr(galaxy, "_reindex", lambda seq, g, shift: reindex(seq, 0, shift))
+    with pytest.raises(ChainConstructionError, match="order check: false"):
+        build_galaxy_chain(seed, 3)
+    # distinct terms a bounded distance apart: n // 2 + shift + g
+    monkeypatch.setattr(galaxy, "_reindex",
+                        lambda seq, g, shift: reindex(seq, -1, shift + g))
+    with pytest.raises(ChainConstructionError, match="order check: false"):
+        build_galaxy_chain(seed, 3)
+
+
+def test_chain_depth_is_capped():
+    oep = make_family("one_ended_path")
+    seed = hyper(oep, "p", Affine(1, 0))
+    chain = build_galaxy_chain(seed, MAX_CHAIN_DEPTH)
+    assert len(chain.entries) == 2 * MAX_CHAIN_DEPTH + 1
+    with pytest.raises(ChainConstructionError, match="exceeds the cap"):
+        build_galaxy_chain(seed, MAX_CHAIN_DEPTH + 1)
+
+
+def _gaps(chain, at, step):
+    """Per adjacent pair and index n from at(a, b), the gaps to the anchor at
+    n, n + step and n + 2*step: omega coefficients at rank 1."""
+    graph = chain.base.graph
+    origin = graph.anchor_one() if graph.rank else graph.anchor()
+
+    def scale(h, n):
+        if graph.rank:
+            return wdistance(graph, origin, node_at(h, n)).omega_coeff
+        return graph.distance(origin, node_at(h, n))
+
+    return [[scale(b.hypernode, m) - scale(a.hypernode, m) for m in (n, n + step, n + 2 * step)]
+            for a, b in zip(chain.entries, chain.entries[1:]) for n in at(a, b)]
+
+
+def test_chain_on_the_edited_grid_grows_under_its_distance():
+    g = make_family("perturbed_grid", edits=[{"op": "remove", "a": [1, 0], "b": [1, 1]}])
+    chain = build_galaxy_chain(hyper(g, "grid", Affine(1, 0), Constant(0)), 3)
+    assert len(chain.entries) == 7
+    assert all(gaps == sorted(set(gaps)) for gaps in _gaps(chain, lambda a, b: (8, 9), 128))
+
+
+def test_compressed_entries_read_the_seed_where_its_form_holds():
+    # |-n + 6| falls until n = 6: read at floor(n / 32) alone, grade -5 would
+    # sit at distance 16 at n = 8 and 14 at n = 64, and its gap would shrink
+    grid = make_family("grid2d")
+    chain = build_galaxy_chain(hyper(grid, "grid", Constant(10), Affine(-1, 6)), 5)
+    assert all(gaps[0] < gaps[1] for gaps in _gaps(chain, lambda a, b: (8, 9), 56))
+
+
+RANK1_SEEDS = ("diamond_chain", "one_path_of_endless_paths")
+CHAIN_SEEDS = [("endless_path", "p", 1), ("one_ended_path", "p", 1),
+               ("ladder_with_ray", "ray", 1), ("grid2d", "grid", 2),
+               ("diamond_chain", "x1", 1), ("one_path_of_endless_paths", "x1", 1)]
+
+
+def _settled(a, b):
+    start = max(sym_start(s) for e in (a, b)
+                for s in (e.hypernode.profile.omega, e.hypernode.profile.finite))
+    return start, start + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CHAIN_SEEDS), st.lists(st.tuples(st.integers(-3, 3), st.integers(-9, 9)),
+                                               min_size=2, max_size=2),
+       st.integers(1, 4))
+def test_adjacent_chain_gaps_grow_at_settled_indices(seed_family, coeffs, depth):
+    family, ctor, arity = seed_family
+    graph = make_one_graph(family) if family in RANK1_SEEDS else make_family(family)
+    params = tuple(Affine(a, b) if a else Constant(b) for a, b in coeffs[:arity])
+    try:
+        seed = hyper(graph, ctor, *params)
+    except NotAMemberError:
+        assume(False)
+    assume(in_principal_galaxy(seed).relation is GalaxyRelation.DIFFERENT)
+    chain = build_galaxy_chain(seed, depth)
+    step = 2 ** (depth + 5)  # the flattest gap rises by 16 over it
+    for gaps in _gaps(chain, _settled, step):
+        assert gaps == sorted(set(gaps)), (seed.term.describe(), depth, gaps)
+
+
 # ====== ray witnesses ======
 
 def test_konig_ray_terms_on_the_catalog():
@@ -380,6 +491,31 @@ def test_boundary_ray_positions():
         origin = g.anchor_one()
         for k in range(9):
             assert wdistance(g, origin, node_at(w, k)).omega_coeff >= k
+
+
+def test_boundary_ray_indices_are_a_fitted_floor():
+    dc = boundary_ray_witness(make_one_graph("diamond_chain"))
+    assert dc.term.params == (Patched(Floor(1, 0, 2, 1), ((0, 1),)),)
+    op = boundary_ray_witness(make_one_graph("one_path_of_endless_paths"))
+    assert op.term.params == (Floor(1, 0, 2, 1),)
+    for k in range(1, 120):
+        assert node_at(dc, k).index == node_at(op, k).index == (k + 1) // 2
+
+
+def test_a_ray_without_a_fit_keeps_its_walk_and_cannot_seed_a_chain(monkeypatch):
+    monkeypatch.setattr(galaxy, "_fit_tail", lambda column: None)
+    w = boundary_ray_witness(make_one_graph("diamond_chain"))
+    assert isinstance(w.term.params[0], Explicit)
+    with pytest.raises(ChainConstructionError, match="boundary-ray"):
+        build_galaxy_chain(w, 1)
+
+
+def test_fit_tail_reads_floor_tails_and_refuses_the_rest():
+    assert galaxy._fit_tail([3 * ((t + 2) // 4) - 1 for t in range(40)]) == Floor(3, -1, 4, 2)
+    assert galaxy._fit_tail([5] * 3 + [2 * t for t in range(3, 40)]) == \
+        Patched(Affine(2, 0), ((0, 5), (1, 5), (2, 5)))
+    assert galaxy._fit_tail([t * t for t in range(40)]) is None
+    assert galaxy._fit_tail([t for t in range(11)]) is None  # too short to fit
 
 
 def test_boundary_ray_requires_the_layered_search_hypotheses():

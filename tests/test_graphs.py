@@ -23,8 +23,8 @@ from nsgraph.galaxy import GalaxyRelation, closer_than, limitedly_distant
 from nsgraph.kernel import Trivalent, verdict
 from nsgraph.oracles import oracle_distance
 from nsgraph.ordinal import Ordinal
-from nsgraph.sequences import (Affine, Constant, Parity, classify, sym_start,
-                               sym_value)
+from nsgraph.sequences import (Aff, Affine, Band, Constant, Floor, Parity, ParityS,
+                               classify, sym_start, sym_value)
 from nsgraph.ultrapower import make_hypernode
 
 EDITS = [{"op": "add", "a": (0, 0), "b": (2, 2)},
@@ -555,6 +555,49 @@ def test_symbolic_distance_equals_pointwise_distance(family, data):
     for n, (x, y) in zip(indices, pairs):
         want = bfs_distance(g, x, y) if edits else g.closed_form_distance(x, y)
         assert sym_value(sym, n) == want, (ta, tb, n)
+
+
+FLOOR_SEQ = SMALL_SEQ | st.builds(Floor, st.integers(-2, 2), st.integers(-6, 9),
+                                  st.sampled_from([2, 4]), st.integers(-3, 3))
+
+
+def _bounds_hold(sym, n: int, value: int) -> bool:
+    if isinstance(sym, ParityS):
+        sym = sym.even if n % 2 == 0 else sym.odd
+    if isinstance(sym, Aff):
+        return sym.a * n + sym.b == value
+    if isinstance(sym, Band):
+        return sym.slope * n + sym.lo <= value <= sym.slope * n + sym.hi
+    c = classify(sym)
+    return c.kind != "range" or c.lo <= value <= c.hi
+
+
+@pytest.mark.parametrize("family", ["endless_path", "one_ended_path", "ladder",
+                                    "ladder_with_ray", "grid2d", "perturbed_grid"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_symbolic_distance_of_floor_terms_bounds_the_pointwise_distance(family, data):
+    """Floor terms get bands, widened by the edits on perturbed_grid, that hold
+    at every index from the form's start on."""
+    edits = None
+    if family == "perturbed_grid":
+        edits = data.draw(st.lists(EDIT, min_size=1, max_size=4))
+    try:
+        g = make_family(family, edits)
+    except EditValidationError:
+        assume(False)
+    ta, tb = (NodeTerm(ctor, tuple(data.draw(FLOOR_SEQ) for _ in range(g.TERM_ARITY[ctor])))
+              for ctor in (data.draw(st.sampled_from(sorted(g.TERM_ARITY))) for _ in "ab"))
+    sym = g.symbolic_distance(ta, tb)
+    start = sym_start(sym)
+    try:
+        pairs = [(n, g.term_node(ta, n), g.term_node(tb, n)) for n in range(start, start + 24)]
+    except NotAMemberError:
+        assume(False)
+    for n, x, y in pairs:  # the compressed-grid distance is exact, and fast
+        want = g.distance(x, y)
+        assert _bounds_hold(sym, n, want), (ta, tb, n, want, sym)
 
 
 def is_finitely_dispersed(graph, nodes, k: int,

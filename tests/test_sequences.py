@@ -11,8 +11,8 @@ import pytest
 
 from nsgraph.kernel import IndeterminateError
 from nsgraph.ordinal import HyperOrder
-from nsgraph.sequences import (Aff, Affine, BoundedDecl, Composed, Constant,
-                               Explicit, Graded, MonotoneUnboundedDecl,
+from nsgraph.sequences import (Aff, Affine, Band, BoundedDecl, Constant,
+                               Explicit, Floor, MonotoneUnboundedDecl,
                                Opaque, Parity, ParityS, Patched,
                                SequenceDeclarationError, classify,
                                eq_truthset, parity_sym, perturb_sequence,
@@ -31,8 +31,8 @@ def test_sequence_values():
     assert p.value(2) == 50 and p.value(5) == -1 and p.value(3) == 3
     e = Explicit(lambda n: n * n, MonotoneUnboundedDecl())
     assert e.value(9) == 81
-    c = Composed(Affine(1, 0), lambda n: 2 * n)
-    assert c.value(5) == 10
+    f = Floor(3, -1, 4, 2)
+    assert [f.value(n) for n in (0, 1, 2, 6)] == [-1, -1, 2, 5]
 
 
 def test_patched_rejects_bad_overrides():
@@ -150,20 +150,24 @@ def test_order_pattern():
                               hyperordinal_from_syms(Aff(0, 0), Aff(0, 0)))
 
 
-def test_graded_subtraction_certifies_order():
-    token = object()
-    lower = Graded(lambda n: n, token, 1)
-    upper = Graded(lambda n: 3 * n, token, 2)
-    assert classify(sym_sub(upper, lower)).kind == "pinf"
-    assert classify(sym_sub(lower, upper)).kind == "ninf"
-    same = sym_sub(lower, Graded(lambda n: n, token, 1))
-    assert classify(same).exact and classify(same).lo == 0
-    # different tokens carry no cross-construction guarantee
-    other = Graded(lambda n: n, object(), 5)
-    assert classify(sym_sub(other, lower)).kind == "unknown"
+def test_floor_bands_order_and_normalise():
+    half, quarter = Floor(1, 0, 2).to_sym(), Floor(1, 3, 4, 1).to_sym()
+    assert isinstance(half, Band) and classify(half).kind == "pinf"
+    assert classify(sym_sub(half, quarter)).kind == "pinf"
+    assert classify(sym_sub(quarter, half)).kind == "ninf"
+    # the band of two floors of equal slope is flat: a range, not a value
+    flat = classify(sym_sub(Floor(2, 0, 2).to_sym(), Floor(1, 0, 1).to_sym()))
+    assert flat.kind == "range" and (flat.lo, flat.hi) == (-1, 0) and not flat.exact
+    # a unit divisor or a zero coefficient is affine
+    assert Floor(3, 1, 1, 2).to_sym() == Aff(3, 7)
+    assert Floor(0, 5, 4, 1).to_sym() == Aff(0, 5)
+    # floor(n/2) = 40 last at n = 81; 9 - floor(n/2) <= 0 from n = 18 on
+    zeros = eq_truthset(sym_sub(half, Aff(0, 40)))
+    assert zeros.kind == "finite" and zeros.threshold == 82
+    assert sym_start(sym_abs(Floor(-1, 9, 2).to_sym())) == 18
 
 
-def test_composed_and_explicit_sym():
+def test_explicit_sym():
     e = Explicit(lambda n: n % 4, BoundedDecl(3))
     c = classify(e.to_sym())
     assert c.kind == "range" and c.lo == -3 and c.hi == 3
@@ -171,9 +175,6 @@ def test_composed_and_explicit_sym():
     assert classify(m.to_sym()).kind == "pinf"
     undeclared = Explicit(lambda n: n % 7)
     assert classify(undeclared.to_sym()).kind == "unknown"
-    reindexed = Composed(Affine(2, 0), lambda n: n + 3)
-    for n in range(10):
-        assert reindexed.value(n) == 2 * (n + 3)
 
 
 def test_eq_truthset_threshold_clears_affine_roots():
