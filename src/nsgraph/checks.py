@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
-from .galaxy import (GalaxyRelation, anchor_hypernode, limitedly_distant,
-                     verify_partial_order)
+from .galaxy import (GalaxyRelation, GalaxyVerdict, anchor_hypernode,
+                     limitedly_distant, verify_partial_order)
 from .graphs import Exhausted, GraphInstance, NodeTerm, NotAMemberError
 from .kernel import (Trivalent, cofinite_set, finite_set, in_filter,
                      parity_split, verdict)
@@ -60,7 +61,11 @@ def run_check_suite(graph: GraphInstance, suite: str, *, seed: int = 0,
 
 
 class CheckTally:
-    """Accumulates a sweep's outcomes, keeping the first counterexample."""
+    """Accumulates a sweep's outcomes, keeping the first counterexample.
+
+    A detail is a zero-argument callable, called only when its check fails:
+    a passing check formats nothing.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -68,13 +73,13 @@ class CheckTally:
         self.failures = 0
         self.first = ""
 
-    def check(self, ok: bool, detail: str) -> None:
+    def check(self, ok: bool, detail: Callable[[], str]) -> None:
         self.checked += 1
         if not ok:
             self.failures += 1
-            self.first = self.first or detail
+            self.first = self.first or detail()
 
-    def fail(self, detail: str) -> None:
+    def fail(self, detail: Callable[[], str]) -> None:
         self.check(False, detail)
 
     def result(self) -> CheckResult:
@@ -126,12 +131,12 @@ def _metric_rank0(graph, rng: random.Random, triples: int) -> list[CheckResult]:
         dxy, dyx, dyz, dxz = (graph.distance(*p)
                               for p in ((x, y), (y, x), (y, z), (x, z)))
         if any(isinstance(d, Exhausted) for d in (dxy, dyx, dyz, dxz)):
-            identity.fail(_counterexample("search exhausted", x, y, z))
+            identity.fail(lambda: _counterexample("search exhausted", x, y, z))
             continue
         identity.check((dxy == 0) == (x == y) and graph.distance(x, x) == 0,
-                       _counterexample(x, y, dxy))
-        symmetry.check(dxy == dyx, _counterexample(x, y, dxy, dyx))
-        triangle.check(dxz <= dxy + dyz, _counterexample(x, y, z, dxz, dxy, dyz))
+                       lambda: _counterexample(x, y, dxy))
+        symmetry.check(dxy == dyx, lambda: _counterexample(x, y, dxy, dyx))
+        triangle.check(dxz <= dxy + dyz, lambda: _counterexample(x, y, z, dxz, dxy, dyz))
     return [identity.result(), symmetry.result(), triangle.result()]
 
 
@@ -146,11 +151,11 @@ def _metric_rank1(graph, rng: random.Random, triples: int) -> list[CheckResult]:
         same = promote(graph, x) == promote(graph, y)
         identity.check((dxy == Ordinal(0, 0)) == same
                        and wdistance(graph, x, x) == Ordinal(0, 0),
-                       _counterexample(x, y, dxy))
-        symmetry.check(dxy == dyx, _counterexample(x, y, dxy, dyx))
+                       lambda: _counterexample(x, y, dxy))
+        symmetry.check(dxy == dyx, lambda: _counterexample(x, y, dxy, dyx))
         bound = natural_sum(dxy, dyz)
         triangle.check(compare(dxz, bound) is not HyperOrder.GREATER,
-                       _counterexample(x, y, z, dxz, bound))
+                       lambda: _counterexample(x, y, z, dxz, bound))
     return [identity.result(), symmetry.result(), triangle.result()]
 
 
@@ -169,31 +174,40 @@ def _suite_partition(graph, rng: random.Random,
     symmetric = CheckTally("symmetry: verdicts agree in both directions")
     additive = CheckTally("transitivity: same-galaxy bounds add")
     separating = CheckTally("separation: limited + unlimited stays unlimited")
+    decided: dict[tuple[int, int], GalaxyVerdict] = {}
+
+    def verdict_of(x, y):
+        # one verdict per ordered pair: (y, x) is decided apart from (x, y)
+        key = (id(x), id(y))
+        if key not in decided:
+            decided[key] = limitedly_distant(x, y)
+        return decided[key]
+
     for x in points:
-        v = limitedly_distant(x, x)
+        v = verdict_of(x, x)
         reflexive.check(v.relation is GalaxyRelation.SAME
                         and v.certified_bound == Ordinal(0, 0),
-                        _counterexample(x.describe(), v))
+                        lambda: _counterexample(x.describe(), v))
     for _ in range(len(points) * 4):
         x, y, z = (rng.choice(points) for _ in range(3))
-        vxy = limitedly_distant(x, y)
-        symmetric.check(limitedly_distant(y, x) == vxy,
-                        _counterexample(x.describe(), y.describe()))
-        vyz = limitedly_distant(y, z)
-        vxz = limitedly_distant(x, z)
+        vxy = verdict_of(x, y)
+        symmetric.check(verdict_of(y, x) == vxy,
+                        lambda: _counterexample(x.describe(), y.describe()))
+        vyz = verdict_of(y, z)
+        vxz = verdict_of(x, z)
         if (vxy.relation is GalaxyRelation.SAME
                 and vyz.relation is GalaxyRelation.SAME):
             cap = natural_sum(vxy.certified_bound, vyz.certified_bound)
             additive.check(vxz.relation is GalaxyRelation.SAME
                            and compare(vxz.certified_bound, cap)
                            is not HyperOrder.GREATER,
-                           _counterexample(x.describe(), y.describe(),
-                                           z.describe(), vxz))
+                           lambda: _counterexample(x.describe(), y.describe(),
+                                                   z.describe(), vxz))
         if (vxy.relation is GalaxyRelation.SAME
                 and vyz.relation is GalaxyRelation.DIFFERENT):
             separating.check(vxz.relation is GalaxyRelation.DIFFERENT,
-                             _counterexample(x.describe(), y.describe(),
-                                             z.describe(), vxz))
+                             lambda: _counterexample(x.describe(), y.describe(),
+                                                     z.describe(), vxz))
     return [reflexive.result(), symmetric.result(), additive.result(),
             separating.result()]
 
@@ -234,9 +248,9 @@ def _suite_walk_oracle(graph, rng: random.Random,
             want = enumeration_wdistance(graph.family, promote(graph, a),
                                          promote(graph, b))
             got = wdistance(graph, a, b)
-            closed.check(got == want, _counterexample(a, b, got, want))
+            closed.check(got == want, lambda: _counterexample(a, b, got, want))
             total, _ = wdistance_witness(graph, a, b)
-            searched.check(total == want, _counterexample(a, b, total, want))
+            searched.check(total == want, lambda: _counterexample(a, b, total, want))
         return [closed.result(), searched.result()]
     agree = CheckTally("search equals bounded enumeration")
     edits = None
@@ -247,7 +261,7 @@ def _suite_walk_oracle(graph, rng: random.Random,
     got = [graph.distance(a, b) for a, b in pairs]
     want = oracle_distance(graph.family, pairs, 30, edits)
     for (a, b), g, w in zip(pairs, got, want):
-        agree.check(g == w, _counterexample(a, b, g, w))
+        agree.check(g == w, lambda: _counterexample(a, b, g, w))
     return [agree.result()]
 
 
@@ -261,18 +275,18 @@ def _suite_kernel(graph, rng: random.Random,
     tri = CheckTally("trichotomy: definite comparisons pick one side")
     for t in range(span):
         sound.check(in_filter(lambda n: n >= t, cofinite_set(t))
-                    is Trivalent.TRUE, f"cofinite {t}")
+                    is Trivalent.TRUE, lambda: f"cofinite {t}")
         sound.check(in_filter(lambda n: n < t, finite_set(t))
-                    is Trivalent.FALSE, f"finite {t}")
+                    is Trivalent.FALSE, lambda: f"finite {t}")
         for even in (True, False):
             sound.check(in_filter(lambda n: (n % 2 == 0) == even,
                                   parity_split(even, t))
-                        is Trivalent.FILTER_DEPENDENT, f"split {even} {t}")
+                        is Trivalent.FILTER_DEPENDENT, lambda: f"split {even} {t}")
         pairs = [(cofinite_set(t), finite_set(t)),
                  (parity_split(True, t), parity_split(False, t))]
         for ts, co in pairs:
             both = verdict(ts) is Trivalent.TRUE and verdict(co) is Trivalent.TRUE
-            excl.check(not both, _counterexample(ts, co))
+            excl.check(not both, lambda: _counterexample(ts, co))
     definite = {HyperOrder.LESS: HyperOrder.GREATER,
                 HyperOrder.EQUAL: HyperOrder.EQUAL,
                 HyperOrder.GREATER: HyperOrder.LESS}
@@ -285,7 +299,7 @@ def _suite_kernel(graph, rng: random.Random,
         if v is HyperOrder.FILTER_DEPENDENT:
             continue
         tri.check(compare_hyperordinals(b, a) is definite[v],
-                  _counterexample(a, b, v))
+                  lambda: _counterexample(a, b, v))
     return [sound.result(), excl.result(), tri.result()]
 
 

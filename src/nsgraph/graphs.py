@@ -131,6 +131,46 @@ class NodeTerm:
         return f"{self.ctor}:{','.join(p.describe() for p in self.params)}"
 
 
+# ====== Term readers ======
+#
+# One body for both ranks: GraphInstance and OneGraph each bind these in
+# their own namespace, where tracing counts `term_node` per defining class.
+
+def check_term(graph, term: NodeTerm) -> None:
+    arity = graph.TERM_ARITY.get(term.ctor)
+    if arity is None:
+        raise NotAMemberError(f"unknown node constructor {term.ctor!r} for {graph.family}")
+    if arity != len(term.params):
+        raise NotAMemberError(
+            f"constructor {term.ctor!r} takes {arity} parameter(s), got {len(term.params)}")
+
+
+def term_node(graph, term: NodeTerm, n: int):
+    args = tuple(p.value(n) for p in term.params)
+    node = graph.instantiate_term(term.ctor, args)
+    graph.require_member(node)
+    return node
+
+
+def term_nodes(graph, term: NodeTerm, lo: int, hi: int) -> list:
+    """The column term_node(term, n) for lo <= n < hi, read column by column.
+
+    Where some index fails, the column is read again index by index, so
+    the first failing index raises its own error, as `term_node` would.
+    """
+    try:
+        if term.params:
+            args = zip(*[p.values(lo, hi) for p in term.params])
+        else:
+            args = itertools.repeat((), max(0, hi - lo))
+        nodes = list(map(graph.instantiate_term, itertools.repeat(term.ctor), args))
+        if all(map(graph.contains, nodes)):
+            return nodes
+    except Exception:  # raised again below, at its own index
+        pass
+    return [graph.term_node(term, n) for n in range(lo, hi)]
+
+
 class GraphInstance:
     """Base of the rank-0 catalog families."""
 
@@ -174,19 +214,9 @@ class GraphInstance:
     def instantiate_term(self, ctor: str, args: tuple[int, ...]):
         raise NotImplementedError
 
-    def term_node(self, term: NodeTerm, n: int):
-        args = tuple(p.value(n) for p in term.params)
-        node = self.instantiate_term(term.ctor, args)
-        self.require_member(node)
-        return node
-
-    def check_term(self, term: NodeTerm) -> None:
-        arity = self.TERM_ARITY.get(term.ctor)
-        if arity is None:
-            raise NotAMemberError(f"unknown node constructor {term.ctor!r} for {self.family}")
-        if arity != len(term.params):
-            raise NotAMemberError(
-                f"constructor {term.ctor!r} takes {arity} parameter(s), got {len(term.params)}")
+    check_term = check_term
+    term_node = term_node
+    term_nodes = term_nodes
 
     def normalize_term(self, term: NodeTerm) -> NodeTerm:
         """Rewrite to the canonical constructor naming the same nodes."""

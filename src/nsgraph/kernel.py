@@ -108,12 +108,17 @@ def in_filter(predicate: Callable[[int], bool], evidence: TruthSet | None,
     if evidence is None:
         raise IndeterminateError("truth set of the predicate is unclassifiable")
     expected = (evidence.holds_at(0), evidence.holds_at(1))  # by parity of n
-    for n in range(evidence.threshold, max(evidence.threshold, horizon) + 1):
+    for n in sampled_indices(evidence, horizon):
         if bool(predicate(n)) != expected[n & 1]:
             raise EvidenceError(
                 f"evidence {evidence.kind} (threshold {evidence.threshold}) "
                 f"contradicts predicate at n={n}")
     return verdict(evidence)
+
+
+def sampled_indices(evidence: TruthSet, horizon: int) -> range:
+    """The indices at which `in_filter` samples the predicate, in order."""
+    return range(evidence.threshold, max(evidence.threshold, horizon) + 1)
 
 
 def intersect(a: TruthSet | None, b: TruthSet | None) -> TruthSet | None:

@@ -1,15 +1,15 @@
 """Independent reference oracles used by the test suite.
 
 Everything here recomputes answers from first principles on explicit finite
-truncations: build concrete adjacency dicts, run textbook searches, compare.
+truncations: adjacency rules written out here, textbook searches, compare.
 None of it shares code with the lazy implementations it checks.
 
-Each truncation is built once per call and answers every pair the call
-holds.  The rank-0 oracle then drops it before building the next radius, so
-one truncation is alive at a time.  The rank-1 oracle keeps its last two
-quotients, with the legs between their 1-nodes; only the legs from 0-node
-endpoints are built per query, and a Dijkstra over lexicographic walk
-lengths composes them.
+A rank-0 truncation is a `Window`: each family's rule inside a radius, with
+the edits applied, read one node at a time, so a search reads only the
+nodes it reaches.  The rank-1 oracle builds its quotients as explicit
+adjacency dicts and keeps the last two, with the legs between their
+1-nodes; only the legs from 0-node endpoints are built per query, and a
+Dijkstra over lexicographic walk lengths composes them.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .ordinal import Ordinal
 from .transfinite import DiamondNode, OneNodeId, RailNode, SegNode, StarNode
 
 
-def plain_bfs(adj: dict, x, y) -> int | None:
-    """Unweighted shortest path on an explicit adjacency dict."""
+def plain_bfs(adj, x, y) -> int | None:
+    """Unweighted shortest path; adj[u] lists u's neighbours (a dict or a `Window`)."""
     if x == y:
         return 0
     seen = {x: 0}
@@ -46,58 +46,93 @@ def _add_branch(adj: dict, a, b) -> None:
     adj.setdefault(b, set()).add(a)
 
 
-def truncated_adjacency(family: str, radius: int, edits: list[dict] | None = None) -> dict:
-    """Explicit adjacency of the catalog family restricted to a finite window."""
-    adj: dict = {}
-    if family == "endless_path":
-        for k in range(-radius, radius):
-            _add_branch(adj, PathNode(k), PathNode(k + 1))
-    elif family == "one_ended_path":
-        for k in range(radius):
-            _add_branch(adj, PathNode(k), PathNode(k + 1))
-    elif family in ("ladder", "ladder_with_ray"):
-        for k in range(radius + 1):
-            _add_branch(adj, Ground(), LadderNode(k))
-            if k < radius:
-                _add_branch(adj, LadderNode(k), LadderNode(k + 1))
-        if family == "ladder_with_ray":
-            _add_branch(adj, Ground(), RayNode(1))
-            for j in range(1, radius):
-                _add_branch(adj, RayNode(j), RayNode(j + 1))
-    elif family in ("grid2d", "perturbed_grid"):
-        for k in range(-radius, radius + 1):
-            for l in range(-radius, radius + 1):
-                if k < radius:
-                    _add_branch(adj, GridNode(k, l), GridNode(k + 1, l))
-                if l < radius:
-                    _add_branch(adj, GridNode(k, l), GridNode(k, l + 1))
+# ====== Rank-0 truncations ======
+#
+# A family's rule inside a radius: (inside, near), where inside(u) tells
+# whether u lies in the truncation and near(u) lists u's branches in the
+# whole family, finitely many of them inside.
+
+def _path_rule(lo: int, hi: int):
+    return (lambda u: isinstance(u, PathNode) and lo <= u.k <= hi,
+            lambda u: (PathNode(u.k - 1), PathNode(u.k + 1)))
+
+
+def _ladder_rule(radius: int, ray: bool):
+    """Ground joined to the rungs 0..radius, in a row; with ray, to a ray 1..radius."""
+    def inside(u) -> bool:
+        if isinstance(u, LadderNode):
+            return 0 <= u.k <= radius
+        if isinstance(u, RayNode):
+            return ray and 1 <= u.j <= max(1, radius)
+        return isinstance(u, Ground)
+
+    def near(u):
+        if isinstance(u, Ground):
+            return [RayNode(1), *(LadderNode(k) for k in range(radius + 1))]
+        if isinstance(u, LadderNode):
+            return (Ground(), LadderNode(u.k - 1), LadderNode(u.k + 1))
+        return (Ground() if u.j == 1 else RayNode(u.j - 1), RayNode(u.j + 1))
+    return inside, near
+
+
+def _grid_rule(radius: int):
+    return (lambda u: isinstance(u, GridNode) and abs(u.k) <= radius and abs(u.l) <= radius,
+            lambda u: (GridNode(u.k - 1, u.l), GridNode(u.k + 1, u.l),
+                       GridNode(u.k, u.l - 1), GridNode(u.k, u.l + 1)))
+
+
+_RULES = {
+    "endless_path": lambda radius: _path_rule(-radius, radius),
+    "one_ended_path": lambda radius: _path_rule(0, radius),
+    "ladder": lambda radius: _ladder_rule(radius, ray=False),
+    "ladder_with_ray": lambda radius: _ladder_rule(radius, ray=True),
+    "grid2d": _grid_rule,
+    "perturbed_grid": _grid_rule,
+}
+
+
+class Window:
+    """The catalog family restricted to a radius, read one node at a time.
+
+    `window[u]` lists u's neighbours inside the radius, with the edits
+    applied: of the edits to one branch the last stands, and an added
+    branch brings its endpoints in even from outside the radius.  A node
+    outside has no entry (KeyError).
+    """
+
+    def __init__(self, family: str, radius: int, edits: list[dict] | None = None):
+        if family not in _RULES:
+            raise ValueError(f"no truncation rule for family {family!r}")
+        self.inside, self.near = _RULES[family](radius)
+        last: dict = {}  # branch -> (a, b, kept) of its last edit
         for edit in edits or []:
-            a = GridNode(*edit["a"])
-            b = GridNode(*edit["b"])
-            if edit["op"] == "remove":
-                adj[a].discard(b)
-                adj[b].discard(a)
-            else:
-                _add_branch(adj, a, b)
-    else:
-        raise ValueError(f"no truncation rule for family {family!r}")
-    return adj
+            a, b = GridNode(*edit["a"]), GridNode(*edit["b"])
+            last[frozenset((a, b))] = (a, b, edit["op"] != "remove")
+        self.added: dict = {}
+        self.removed: dict = {}
+        for a, b, kept in last.values():
+            side = self.added if kept else self.removed
+            side.setdefault(a, []).append(b)
+            side.setdefault(b, []).append(a)
+
+    def __getitem__(self, u) -> list:
+        if not self.inside(u):
+            return self.added[u]  # KeyError unless an added branch brings u in
+        cut = self.removed.get(u, ())
+        return [v for v in self.near(u) if self.inside(v) and v not in cut] \
+            + self.added.get(u, [])
 
 
 def oracle_distance(family: str, pairs: list, radius: int,
                     edits: list[dict] | None = None) -> list[int]:
     """Truncation-stable distances of the pairs: equal at two radii, else refuse."""
-    near = _answer_all(truncated_adjacency(family, radius, edits), pairs)
-    far = _answer_all(truncated_adjacency(family, radius + 4, edits), pairs)
+    near_window, far_window = Window(family, radius, edits), Window(family, radius + 4, edits)
+    near = [plain_bfs(near_window, x, y) for x, y in pairs]
+    far = [plain_bfs(far_window, x, y) for x, y in pairs]
     for (x, y), a, b in zip(pairs, near, far):
         if a is None or a != b:
             raise ValueError(f"radius {radius} too small to settle d({x!r},{y!r})")
     return near
-
-
-def _answer_all(adj: dict, pairs: list) -> list[int | None]:
-    # a call of its own, so each truncation is freed before the next is built
-    return [plain_bfs(adj, x, y) for x, y in pairs]
 
 
 # ====== Rank-1 quotients ======

@@ -69,6 +69,10 @@ class IndexSequence:
     def value(self, n: int) -> int:
         raise NotImplementedError
 
+    def values(self, lo: int, hi: int):
+        """The column value(n) for lo <= n < hi."""
+        return [self.value(n) for n in range(lo, hi)]
+
     def to_sym(self) -> "SymInt":
         raise NotImplementedError
 
@@ -82,6 +86,9 @@ class Constant(IndexSequence):
 
     def value(self, n: int) -> int:
         return self.c
+
+    def values(self, lo: int, hi: int):
+        return [self.c] * max(0, hi - lo)
 
     def to_sym(self) -> "SymInt":
         return Aff(0, self.c)
@@ -97,6 +104,12 @@ class Affine(IndexSequence):
 
     def value(self, n: int) -> int:
         return self.a * n + self.b
+
+    def values(self, lo: int, hi: int):
+        if self.a == 0:
+            return [self.b] * max(0, hi - lo)
+        # a negative step counts down as n counts up; hi <= lo is empty either way
+        return range(self.a * lo + self.b, self.a * hi + self.b, self.a)
 
     def to_sym(self) -> "SymInt":
         return Aff(self.a, self.b)
@@ -192,7 +205,8 @@ class Floor(IndexSequence):
     a*(c - q + 1)/q + b, the smaller one below.  This holds at every integer
     n, also where n + c < 0, since r is the nonnegative remainder.
 
-    A label, when given, is the description; equality ignores it.
+    A label, when given, is the description; equality ignores it.  A floor
+    is its band's evaluator, so equal floors give equal bands.
     """
 
     a: int
@@ -208,13 +222,14 @@ class Floor(IndexSequence):
     def value(self, n: int) -> int:
         return self.a * ((n + self.c) // self.q) + self.b
 
+    __call__ = value
+
     def to_sym(self) -> "SymInt":
         if self.q == 1 or self.a == 0:
             return Aff(self.a, self.a * self.c + self.b)  # affine: no Fractions
         top = Fraction(self.a * self.c, self.q) + self.b
         bottom = top - Fraction(self.a * (self.q - 1), self.q)
-        return band(Fraction(self.a, self.q), min(top, bottom), max(top, bottom),
-                    self.value)
+        return band(Fraction(self.a, self.q), min(top, bottom), max(top, bottom), self)
 
     def describe(self) -> str:
         return self.label or f"floor({self.a},{self.b},{self.q},{self.c})"
@@ -538,6 +553,13 @@ def sym_add(x: SymInt, y: SymInt) -> SymInt:
 
 
 def sym_sub(x: SymInt, y: SymInt) -> SymInt:
+    if isinstance(x, Aff) and isinstance(y, Aff):
+        return Aff(x.a - y.a, x.b - y.b, max(x.start, y.start))
+    if isinstance(x, ParityS) or isinstance(y, ParityS):
+        return per_parity(sym_sub, x, y)
+    if x == y and _fn_of(x) is not None:
+        # one evaluator, one sequence: it differs from itself by 0 everywhere
+        return Aff(0, 0, sym_start(x))
     return sym_add(x, sym_neg(y))
 
 

@@ -61,7 +61,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .graphs import (NodeTerm, NotAMemberError, UnreachableError, natkey)
+from .graphs import (NodeTerm, NotAMemberError, UnreachableError, check_term, natkey,
+                     term_node, term_nodes)
 from .kernel import TruthSet, finite_set, intersect
 from .ordinal import ZERO, Ordinal
 from .sequences import (Aff, Constant, Opaque, Parity, SymInt, bump_start,
@@ -411,19 +412,9 @@ class OneGraph:
         """Replace a nonmaximal 0-node constructor by its holding 1-node's."""
         return term
 
-    def check_term(self, term: NodeTerm) -> None:
-        arity = self.TERM_ARITY.get(term.ctor)
-        if arity is None:
-            raise NotAMemberError(f"unknown node constructor {term.ctor!r} for {self.family}")
-        if arity != len(term.params):
-            raise NotAMemberError(
-                f"constructor {term.ctor!r} takes {arity} parameter(s), got {len(term.params)}")
-
-    def term_node(self, term: NodeTerm, n: int):
-        args = tuple(p.value(n) for p in term.params)
-        node = self.instantiate_term(term.ctor, args)
-        self.require_member(node)
-        return node
+    check_term = check_term
+    term_node = term_node
+    term_nodes = term_nodes
 
     def symbolic_wdistance(self, ta: NodeTerm,
                            tb: NodeTerm) -> tuple[SymInt, SymInt] | None:

@@ -11,6 +11,7 @@ contradiction instead of a silently wrong verdict.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -25,6 +26,7 @@ from .kernel import (
     finite_set,
     in_filter,
     intersect,
+    sampled_indices,
 )
 from .ordinal import HyperOrder, Ordinal, compare
 from .sequences import (
@@ -105,12 +107,33 @@ def require_same_enlargement(a: Hypernode, b: Hypernode) -> None:
             f"{a.graph.family} vs {b.graph.family}")
 
 
+def _columns(evidence: TruthSet | None, horizon: int, a: tuple, b: tuple):
+    """(lo, xs, ys): the nodes of two (graph, term) presentations at the
+    indices `in_filter` samples under evidence, from lo on, read as columns.
+
+    None when the sweep must read its nodes index by index: with no
+    evidence (in_filter refuses before reading any), or when some node
+    fails, so that each index still raises a's error, then b's, only after
+    every earlier index has met the evidence.
+    """
+    if evidence is None:
+        return None
+    indices = sampled_indices(evidence, horizon)
+    lo, hi = indices.start, indices.stop
+    (ga, ta), (gb, tb) = a, b
+    try:
+        return lo, ga.term_nodes(ta, lo, hi), gb.term_nodes(tb, lo, hi)
+    except Exception:  # raised again by the per-index sweep, where it belongs
+        return None
+
+
 def hypernode_eq(a: Hypernode, b: Hypernode,
                  horizon: int = DEFAULT_HORIZON) -> Trivalent:
     """Do the two presentations name the same point?
 
     The agreement set is classified per parameter of the normalised terms and
-    the verdict is certified by sampling node equality on that classification.
+    the verdict is certified by sampling node equality on that classification:
+    the two node columns are compared at once, and the sweep reads the result.
     """
     require_same_enlargement(a, b)
     ta = a.graph.normalize_term(a.term)
@@ -122,7 +145,12 @@ def hypernode_eq(a: Hypernode, b: Hypernode,
         evidence = cofinite_set(max(_param_start(ta), _param_start(tb)))
         for sa, sb in zip(ta.param_syms(), tb.param_syms()):
             evidence = intersect(evidence, eq_truthset(sym_sub(sa, sb)))
-    return in_filter(lambda n: node_at(a, n) == node_at(b, n), evidence, horizon)
+    columns = _columns(evidence, horizon, (a.graph, a.term), (b.graph, b.term))
+    if columns is None:
+        return in_filter(lambda n: node_at(a, n) == node_at(b, n), evidence, horizon)
+    lo, xs, ys = columns
+    same = list(map(operator.eq, xs, ys))
+    return in_filter(lambda n: same[n - lo], evidence, horizon)
 
 
 def is_standard(h: Hypernode, horizon: int = DEFAULT_HORIZON) -> Trivalent:
@@ -294,9 +322,7 @@ class Hyperbranch:
     evidence: TruthSet
 
 
-def _adjacent_at(graph, tu: NodeTerm, tv: NodeTerm, n: int) -> bool:
-    x = graph.term_node(tu, n)
-    y = graph.term_node(tv, n)
+def _adjacent(graph, x, y) -> bool:
     if graph.rank:
         return wdistance(graph, x, y) == Ordinal(0, 1)
     d = graph.distance(x, y)
@@ -310,7 +336,16 @@ def make_hyperbranch(graph, tu: NodeTerm, tv: NodeTerm,
     u = make_hypernode(graph, tu, prefix)
     v = make_hypernode(graph, tv, prefix)
     evidence = graph.adjacency_truthset(tu, tv)
-    verdict = in_filter(lambda n: _adjacent_at(graph, tu, tv, n), evidence, horizon)
+    columns = _columns(evidence, horizon, (graph, tu), (graph, tv))
+    if columns is None:
+        def adjacent_at(n: int) -> bool:
+            return _adjacent(graph, graph.term_node(tu, n), graph.term_node(tv, n))
+    else:
+        lo, xs, ys = columns
+
+        def adjacent_at(n: int) -> bool:
+            return _adjacent(graph, xs[n - lo], ys[n - lo])
+    verdict = in_filter(adjacent_at, evidence, horizon)
     if verdict is not Trivalent.TRUE:
         raise NotAHyperbranchError(
             f"{tu.describe()} and {tv.describe()} are adjacent only on a "

@@ -2,7 +2,9 @@
 
 import pytest
 
-from nsgraph.checks import SUITES, run_check_suite
+from nsgraph import checks
+from nsgraph.checks import SUITES, CheckResult, CheckTally, run_check_suite
+from nsgraph.galaxy import limitedly_distant
 from nsgraph.literals import parse_graph
 
 EDITED = {"family": "perturbed_grid",
@@ -29,6 +31,30 @@ def test_partition_suite_on_an_edited_grid():
               "edits": [{"op": "remove", "a": [1, 0], "b": [1, 1]}]}
     rep = run_check_suite(parse_graph(edited), "galaxy-partition", seed=0)
     assert rep.passed, rep
+
+
+def test_partition_suite_decides_each_ordered_pair_once(monkeypatch):
+    graph = parse_graph("endless_path")
+    want = run_check_suite(graph, "galaxy-partition", seed=3)
+    calls = []
+
+    def counted(x, y):
+        calls.append((id(x), id(y)))
+        return limitedly_distant(x, y)
+
+    monkeypatch.setattr(checks, "limitedly_distant", counted)
+    assert run_check_suite(graph, "galaxy-partition", seed=3) == want
+    assert len(calls) == len(set(calls))
+    # symmetry reads (y, x) from a verdict of its own
+    assert any((y, x) in set(calls) for x, y in calls if x != y)
+
+
+def test_tally_formats_a_detail_only_on_failure():
+    tally = CheckTally("t")
+    tally.check(True, lambda: 1 / 0)
+    tally.check(False, lambda: "first")
+    tally.check(False, lambda: 1 / 0)  # only the first counterexample is kept
+    assert tally.result() == CheckResult("t", False, 3, "2 failed; first: first")
 
 
 def test_order_suite():

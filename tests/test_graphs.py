@@ -21,7 +21,7 @@ from nsgraph.graphs import (DEFAULT_BUDGET, EXHAUSTED, EditValidationError,
 from nsgraph.checks import run_check_suite
 from nsgraph.galaxy import GalaxyRelation, closer_than, limitedly_distant
 from nsgraph.kernel import Trivalent, verdict
-from nsgraph.oracles import oracle_distance
+from nsgraph.oracles import Window, oracle_distance, plain_bfs
 from nsgraph.ordinal import Ordinal
 from nsgraph.sequences import (Aff, Affine, Band, Constant, Floor, Parity, ParityS,
                                classify, sym_start, sym_value)
@@ -29,6 +29,50 @@ from nsgraph.ultrapower import make_hypernode
 
 EDITS = [{"op": "add", "a": (0, 0), "b": (2, 2)},
          {"op": "remove", "a": (1, 0), "b": (1, 1)}]
+
+
+def truncated_adjacency(family: str, radius: int, edits: list[dict] | None = None) -> dict:
+    """Explicit adjacency of the catalog family restricted to a finite window,
+    built whole: the reference the oracle's lazily read `Window` is checked against."""
+    adj: dict = {}
+
+    def branch(a, b):
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+
+    if family == "endless_path":
+        for k in range(-radius, radius):
+            branch(PathNode(k), PathNode(k + 1))
+    elif family == "one_ended_path":
+        for k in range(radius):
+            branch(PathNode(k), PathNode(k + 1))
+    elif family in ("ladder", "ladder_with_ray"):
+        for k in range(radius + 1):
+            branch(Ground(), LadderNode(k))
+            if k < radius:
+                branch(LadderNode(k), LadderNode(k + 1))
+        if family == "ladder_with_ray":
+            branch(Ground(), RayNode(1))
+            for j in range(1, radius):
+                branch(RayNode(j), RayNode(j + 1))
+    elif family in ("grid2d", "perturbed_grid"):
+        for k in range(-radius, radius + 1):
+            for l in range(-radius, radius + 1):
+                if k < radius:
+                    branch(GridNode(k, l), GridNode(k + 1, l))
+                if l < radius:
+                    branch(GridNode(k, l), GridNode(k, l + 1))
+        for edit in edits or []:
+            a = GridNode(*edit["a"])
+            b = GridNode(*edit["b"])
+            if edit["op"] == "remove":
+                adj[a].discard(b)
+                adj[b].discard(a)
+            else:
+                branch(a, b)
+    else:
+        raise ValueError(f"no truncation rule for family {family!r}")
+    return adj
 
 
 def test_membership():
@@ -75,7 +119,6 @@ def test_closed_forms_match_oracle():
 
 @pytest.mark.parametrize("family,edits", [("grid2d", None), ("perturbed_grid", EDITS)])
 def test_batched_oracle_equals_per_pair_search(family, edits):
-    from nsgraph.oracles import plain_bfs, truncated_adjacency
     rng = random.Random(43)
     g = make_family(family, edits=edits)
     pairs = [tuple(g.sample_nodes(rng, 2, span=8)) for _ in range(25)]
@@ -86,8 +129,35 @@ def test_batched_oracle_equals_per_pair_search(family, edits):
             assert plain_bfs(truncated_adjacency(family, radius, edits), x, y) == d
 
 
+# a removal, an added shortcut, a removal undone by a later add, and an
+# added branch reaching outside the smaller radius
+WINDOW_EDITS = [{"op": "remove", "a": (1, 0), "b": (1, 1)},
+                {"op": "add", "a": (-2, 3), "b": (4, -1)},
+                {"op": "remove", "a": (0, 2), "b": (0, 3)},
+                {"op": "add", "a": (0, 2), "b": (0, 3)},
+                {"op": "add", "a": (5, 5), "b": (13, 5)}]
+
+
+@pytest.mark.parametrize("family,edits", [
+    ("endless_path", None), ("one_ended_path", None), ("ladder", None),
+    ("ladder_with_ray", None), ("grid2d", None), ("perturbed_grid", EDITS),
+    ("perturbed_grid", WINDOW_EDITS)])
+def test_window_answers_like_the_built_truncation(family, edits):
+    rng = random.Random(29)
+    g = make_family("grid2d" if edits else family)  # samples only; the edits need not be valid
+    for radius in (12, 16):
+        adj, window = truncated_adjacency(family, radius, edits), Window(family, radius, edits)
+        for u in adj:
+            assert set(window[u]) == adj[u]
+        pairs = [tuple(g.sample_nodes(rng, 2, span=6)) for _ in range(30)]
+        pairs += [(GridNode(13, 5), GridNode(0, 0))] if edits == WINDOW_EDITS else []
+        for x, y in pairs:
+            assert plain_bfs(window, x, y) == plain_bfs(adj, x, y)
+    with pytest.raises(KeyError):
+        Window(family, 12, edits)[PathNode(99) if "path" in family else GridNode(99, 0)]
+
+
 def test_neighbors_match_oracle_adjacency():
-    from nsgraph.oracles import truncated_adjacency
     rng = random.Random(17)
     for family in ("endless_path", "one_ended_path", "grid2d"):
         g = make_family(family)

@@ -17,8 +17,9 @@ from nsgraph.galaxy import GalaxyRelation, closer_than, in_principal_galaxy
 from nsgraph.graphs import NodeTerm, make_family
 from nsgraph.kernel import IndeterminateError, Trivalent
 from nsgraph.ordinal import HyperOrder, Ordinal, compare
-from nsgraph.sequences import (Aff, Band, Constant, Floor, Opaque, parity_sym, sym_abs,
-                               sym_add, sym_neg, sym_scale, sym_start, sym_sub, sym_value)
+from nsgraph.sequences import (Aff, Band, Constant, Floor, Opaque, classify, parity_sym,
+                               sym_abs, sym_add, sym_neg, sym_scale, sym_start, sym_sub,
+                               sym_value)
 from nsgraph.transfinite import make_one_graph
 from nsgraph.ultrapower import (AnchorProfile, Hypernode, compare_hyperordinals,
                                 hyperordinal_from_syms)
@@ -120,6 +121,13 @@ def test_gap_verdict_agrees_with_settled_values(near, far, rank):
     outgrown = [sym_value(far, n) - sym_value(near, n) > LARGE for n in SETTLED]
     expected = {(True, True): Trivalent.TRUE, (False, False): Trivalent.FALSE}
     assert verdict is expected.get(tuple(outgrown), Trivalent.FILTER_DEPENDENT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sym_ints())
+def test_a_form_with_an_evaluator_minus_itself_is_exactly_zero(s):
+    # every drawn form carries an evaluator, a ParityS one per branch
+    assert [c.value for c in classify(sym_sub(s, s)).branches] == [0, 0]
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,6 +8,8 @@ against long-horizon sampling.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsgraph.kernel import IndeterminateError
 from nsgraph.ordinal import HyperOrder
@@ -33,6 +35,32 @@ def test_sequence_values():
     assert e.value(9) == 81
     f = Floor(3, -1, 4, 2)
     assert [f.value(n) for n in (0, 1, 2, 6)] == [-1, -1, 2, 5]
+
+
+def index_sequences(depth: int = 2):
+    """Every IndexSequence kind: slopes of both signs and zero, floors of
+    both signs, explicit generators, and parity and patched wrappers."""
+    ints = st.integers(-20, 20)
+    leaves = st.one_of(
+        st.builds(Constant, ints),
+        st.builds(Affine, st.integers(-3, 3), ints),
+        st.builds(Floor, st.integers(-3, 3), ints, st.integers(1, 4), st.integers(-8, 8)),
+        st.builds(lambda k, c: Explicit(lambda n: k * n * n % 7 + c), st.integers(1, 5), ints))
+    if depth == 0:
+        return leaves
+    inner = index_sequences(depth - 1)
+    overrides = st.dictionaries(st.integers(0, 60), ints, max_size=4)
+    return st.one_of(
+        leaves,
+        st.builds(Parity, inner, inner),
+        st.builds(lambda tail, o: Patched(tail, tuple(sorted(o.items()))), inner, overrides))
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_sequences(), st.integers(0, 80), st.integers(-3, 40))
+def test_values_column_equals_the_values_per_index(seq, lo, width):
+    hi = lo + width  # a negative width is an empty column
+    assert list(seq.values(lo, hi)) == [seq.value(n) for n in range(lo, hi)]
 
 
 def test_patched_rejects_bad_overrides():

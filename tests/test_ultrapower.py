@@ -11,11 +11,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from nsgraph.galaxy import GalaxyRelation, limitedly_distant
 from nsgraph.graphs import (FAMILIES, Exhausted, NodeTerm, NotAMemberError, bfs_distance,
                             make_family)
 from nsgraph.kernel import EvidenceError, IndeterminateError, Trivalent
 from nsgraph.ordinal import Ordinal, compare
-from nsgraph.sequences import (Aff, Affine, BoundedDecl, Constant, Explicit,
+from nsgraph.sequences import (Aff, Affine, BoundedDecl, Constant, Explicit, Floor,
                                MonotoneUnboundedDecl, Opaque, Parity, Patched,
                                SequenceDeclarationError, parity_sym, sym_start,
                                sym_value)
@@ -117,6 +118,78 @@ def test_hypernode_eq_false_and_split():
     # agrees exactly on the evens
     c = hyper(ep, "p", Parity(aff(1, 0), Constant(3)))
     assert hypernode_eq(a, c) is Trivalent.FILTER_DEPENDENT
+
+
+class Mislabelled(Affine):
+    """Affine values under the form of the next affine sequence up."""
+
+    def to_sym(self):
+        return Aff(self.a, self.b + 1)
+
+
+def test_sweeps_raise_at_the_first_index_a_node_leaves_the_graph():
+    # probed members on 0..64, so only the sweep to the horizon reaches 71
+    op = make_family("one_ended_path")
+    a, b = hyper(op, "p", aff(-1, 70)), hyper(op, "p", aff(-2, 140))
+    with pytest.raises(NotAMemberError, match=r"^PathNode\(k=-1\) is not a node"):
+        hypernode_eq(a, a)
+    # both leave at 71, where the evidence starts: the first presentation's node first
+    with pytest.raises(NotAMemberError, match=r"^PathNode\(k=-1\) "):
+        hypernode_eq(a, b)
+    with pytest.raises(NotAMemberError, match=r"^PathNode\(k=-2\) "):
+        hypernode_eq(b, a)
+    with pytest.raises(NotAMemberError, match=r"^PathNode\(k=-1\) "):
+        make_hyperbranch(op, a.term, NodeTerm("p", (aff(-1, 71),)))
+    # evidence contradicted at index 0 is reported before the node failing at 71
+    liar = hyper(op, "p", Mislabelled(-1, 70))
+    with pytest.raises(EvidenceError, match="at n=0$"):
+        hypernode_eq(a, liar)
+
+
+def test_equal_floor_presentations_name_one_point():
+    op = make_family("one_ended_path")
+    a = hyper(op, "p", Floor(2, 0, 2))
+    b = hyper(op, "p", Floor(2, 0, 2, label="twice half"))
+    assert hypernode_eq(a, b) is Trivalent.TRUE
+    v = limitedly_distant(a, b)
+    assert (v.relation, v.certified_bound, v.tight) == (GalaxyRelation.SAME, Ordinal(0, 0), True)
+    # the floors agree on the evens, and n, n + 1 never agree on the odds
+    c = hyper(op, "p", Parity(Floor(2, 0, 2), aff(1, 0)))
+    d = hyper(op, "p", Parity(Floor(2, 0, 2), aff(1, 1)))
+    assert hypernode_eq(c, d) is Trivalent.FILTER_DEPENDENT
+
+
+def _outcome(read):
+    try:
+        return read()
+    except Exception as exc:  # the error and its message are the outcome
+        return type(exc), str(exc)
+
+
+ALL_FAMILIES = sorted(FAMILIES) + sorted(ONE_FAMILIES)
+
+
+def _graph(family):
+    if family in ONE_FAMILIES:
+        return make_one_graph(family)
+    edits = [{"op": "add", "a": (0, 0), "b": (2, 2)}] if family == "perturbed_grid" else None
+    return make_family(family, edits=edits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALL_FAMILIES), st.data())
+def test_term_nodes_read_like_term_node(family, data):
+    g = _graph(family)
+    ctor = data.draw(st.sampled_from(sorted(g.TERM_ARITY)))
+    arg = st.one_of(st.builds(Constant, st.integers(-3, 12)),
+                    st.builds(Affine, st.integers(-2, 2), st.integers(-30, 30)),
+                    st.builds(lambda a, b: Parity(Affine(a, b), Constant(b)),
+                              st.integers(-2, 2), st.integers(-5, 30)))
+    term = NodeTerm(ctor, tuple(data.draw(arg) for _ in range(g.TERM_ARITY[ctor])))
+    lo = data.draw(st.integers(0, 40))
+    hi = lo + data.draw(st.integers(0, 40))
+    per_index = _outcome(lambda: [g.term_node(term, n) for n in range(lo, hi)])
+    assert _outcome(lambda: g.term_nodes(term, lo, hi)) == per_index
 
 
 def test_hypernode_eq_leaf_is_not_its_one_node():
