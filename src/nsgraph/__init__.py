@@ -12,18 +12,17 @@ from .kernel import (EvidenceError, IndeterminateError, Trivalent, TruthSet,
                      cofinite_set, finite_set, in_filter, intersect,
                      parity_split, verdict)
 from .sequences import (Affine, Constant, Explicit, Floor, IndexSequence,
-                        Parity, Patched, perturb_sequence, validate_declaration)
+                        Parity, Patched, validate_declaration)
 from .graphs import (Exhausted, GraphInstance, NodeTerm, NotAMemberError,
                      make_family)
-from .transfinite import (OneGraph, boundary_one_nodes,
-                          check_separation_bound, is_boundary,
-                          make_one_graph, one_adjacent, promote, wdistance,
+from .transfinite import (OneGraph, boundary_one_nodes, is_boundary,
+                          make_one_graph, promote, wdistance,
                           wdistance_witness)
 from .ultrapower import (Hyperbranch, Hypernode, Hyperordinal, HyperOrder,
                          NotAHyperbranchError, compare_hyperordinals,
                          hyperdistance, hypernode_eq, hyperordinal_from_syms,
                          is_standard, make_hyperbranch, make_hypernode,
-                         node_at, perturb_hypernode)
+                         node_at)
 from .galaxy import (ChainConstructionError, GalaxyChain, GalaxyRelation,
                      GalaxyVerdict, InapplicableFamilyError, OrderReport,
                      anchor_hypernode, boundary_ray_witness,
@@ -44,17 +43,16 @@ __all__ = [
     "verdict",
     # index sequences
     "Affine", "Constant", "Explicit", "Floor", "IndexSequence", "Parity", "Patched",
-    "perturb_sequence", "validate_declaration",
+    "validate_declaration",
     # graphs of both ranks
     "Exhausted", "GraphInstance", "NodeTerm", "NotAMemberError",
-    "make_family", "OneGraph", "boundary_one_nodes",
-    "check_separation_bound", "is_boundary", "make_one_graph",
-    "one_adjacent", "promote", "wdistance", "wdistance_witness",
+    "make_family", "OneGraph", "boundary_one_nodes", "is_boundary",
+    "make_one_graph", "promote", "wdistance", "wdistance_witness",
     # term-presented limit points
     "Hyperbranch", "Hypernode", "Hyperordinal", "HyperOrder",
     "NotAHyperbranchError", "compare_hyperordinals", "hyperdistance",
     "hypernode_eq", "hyperordinal_from_syms", "is_standard",
-    "make_hyperbranch", "make_hypernode", "node_at", "perturb_hypernode",
+    "make_hyperbranch", "make_hypernode", "node_at",
     # galaxies
     "ChainConstructionError", "GalaxyChain", "GalaxyRelation",
     "GalaxyVerdict", "InapplicableFamilyError", "OrderReport",

@@ -30,7 +30,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 from .kernel import TruthSet
 from .ordinal import HyperOrder
@@ -233,17 +233,6 @@ class Floor(IndexSequence):
 
     def describe(self) -> str:
         return self.label or f"floor({self.a},{self.b},{self.q},{self.c})"
-
-
-def perturb_sequence(seq: IndexSequence, overrides: Mapping[int, int]) -> IndexSequence:
-    """Finitely many entry replacements; verdicts must not notice."""
-    if not overrides:
-        return seq
-    if isinstance(seq, Patched):
-        merged = dict(seq.overrides)
-        merged.update(overrides)
-        return Patched(seq.tail, tuple(sorted(merged.items())))
-    return Patched(seq, tuple(sorted(overrides.items())))
 
 
 def validate_declaration(seq: IndexSequence, horizon: int = VALIDATION_HORIZON) -> None:

@@ -4,18 +4,6 @@ A 1-graph glues infinite extremities (tips) of ordinary graph sections into
 1-nodes.  Distances count walk lengths as ordinals below w**2: a one-ended
 extended segment costs w, an endless one w*2, finite segments count branches.
 
-`wdistance` answers from each family's exact closed form first: two 0-nodes
-of one section sit at their in-section distance, and any other pair reads
-the family's `symbolic_wdistance` of the two constant terms naming it.
-Only a pair without an exact form falls back to the search.  The search,
-`wdistance_witness`, is the one source of walk legs and the oracle the
-closed forms are tested against.  It never materialises a walk; it runs a
-lexicographic Dijkstra over a finite quotient (sections as connecting
-fabric, 1-nodes and promoted endpoints as vertices) and returns the length
-plus a finite leg summary.  The search keeps only (previous vertex,
-section) per reached vertex; the legs of the summary are built once, on the
-returned path, from the differences of the settled distances.
-
 Each family states its gluing once, as a class-level incidence table
 (`INCIDENCE`).  A row `Touch(one, section, offset)` says that the 1-node of
 kind `one` and index k touches the section of kind `section` and index
@@ -23,25 +11,53 @@ k + offset, at a tip, or through the 0-node `embedded(k)` it holds inside
 that section.  Two rows are infinite fans over one single node (index 0):
 `fan="sections"` makes the 1-node touch every section of the kind (the
 ladder ground xg), `fan="ones"` makes the section touch every 1-node of the
-kind (the partial ladder's star).  `OneGraph` derives both lookup directions
-from the table, `sections_of(one, window)` and `incidences(section, window)`,
-and fans are cut to the index window; the search and the boundary and
-1-adjacency predicates read nothing else.
+kind (the partial ladder's star, whose `hub` is a 0-node through which its
+metric is a star, d(u, v) = d(u, hub) + d(hub, v) for distinct u and v).
+`OneGraph` derives both lookup directions from the table, `sections_of`
+and `incidences`, with fans cut to an index window.
 
-Adjacent means distance exactly 1, read from the distance form: a branch is
-a walk of length w*0 + 1, so `OneGraph.adjacency_truthset` classifies where
-`symbolic_wdistance` has omega part 0 and finite part 1, and no family
-states a second adjacency rule.
+Distance forms: exits and skeleton.  `OneGraph.symbolic_wdistance` reads
+every form off the table with one rule.  A walk length w*a + b is the pair
+(a, b); under the natural sum the pairs are a commutative monoid whose
+lexicographic order is total and compatible with the sum, so least walks
+compose as shortest paths with nonnegative legs do.  `__init_subclass__`
+checks the rule's hypotheses, so a table outside them fails at import:
+  H1 the rows without a "sections" fan name one 1-node kind, x;
+  H2 every row without a fan is a tip at offset -1 or 0, one row per
+     offset and section kind, and exactly one kind, the line, has both;
+  H3 at most one row has a fan, the apex: a 1-node holding a tip of every
+     section of a kind that x touches in one tip row, or a hub whose own
+     section embeds every x_k and whose constructors name only the hub.
+Skeleton: by H2 a line section k joins x_k and x_(k+1) at tips, a leg of
+c = (2, 0), and any other fanless section joins one x_k to at most the
+apex; by H3 every x_k is at f <= c from the apex (tip plus tip, or
+(0, d(embedded, hub))).  So for i != j
+    d(x_i, x_j) = min(c*|i - j|, 2f),  which is 2f once |i - j| >= 2.
+Proof: a walk that avoids the apex changes the index by at most one per
+leg and pays c for each leg that does, so it costs at least c*|i - j|; a
+walk through the apex pays at least f in and f out.  Both bounds are met:
+by x_i -> apex -> x_j, and by the monotone walk along the line, which
+passes only indices between i and j, so on the one-sided families (indices
+from 0) it stays at indices >= 0.
+Exits: a 1-node is its own exit, at cost 0; a 0-node u of section k
+leaves it only through the 1-nodes its rows name, x_(k - offset) at a tip
+(w), or the apex (w through a fan, 0 as the hub itself).  A walk to a node
+of another section leaves through one exit and enters through another, so
+the distance is the lexicographically least exit + skeleton + exit.  Two
+0-nodes of one section sit at their in-section distance, `_section_gap`:
+no 1-node kind is embedded in two sections, so leaving the section crosses
+a tip and costs at least w.  `_by_section` splits a pair on the indices
+where the two sections coincide.
+Forms: a term's exits are offsets from its base index (a 1-node's own, a
+0-node's section's) plus maybe the apex, so the rule is a function F of
+delta = b's base index - a's, which `_exit_form` reads per parity branch
+by delta's class.  Adjacent means distance exactly w*0 + 1, read from the
+form by `adjacency_truthset`.
 
-A row may also name the `hub` of its section: a 0-node through which the
-section's metric is a star, d(u, v) = d(u, hub) + d(hub, v) for distinct u
-and v (the partial ladder's star centre).  The search then takes the hub as
-one more vertex instead of relaxing every pair of the section's 1-nodes: a
-1-node enters the hub at d(embedded, hub), and the hub reaches each incident
-1-node, and the target, at d(hub, .).  A fan of W 1-nodes costs O(W) edges
-instead of O(W**2).  The summary folds an intermediate hub stop back into
-one leg, so stops and legs read as if the pairs had been relaxed directly.
-Rows with a hub touch through embedded 0-nodes.
+`wdistance` is the rule on constant terms and runs no search.  The search
+`wdistance_witness`, a lexicographic Dijkstra over a finite quotient
+(sections as fabric; 1-nodes, hubs and promoted endpoints as vertices),
+is the source of walk legs and the oracle the forms are tested against.
 
 The catalog builds four fixed families:
 
@@ -63,15 +79,16 @@ from typing import Callable, Iterator, NamedTuple
 
 from .graphs import (NodeTerm, NotAMemberError, UnreachableError, check_term, natkey,
                      term_node, term_nodes)
-from .kernel import TruthSet, finite_set, intersect
+from .kernel import IndeterminateError, TruthSet, cofinite_set, finite_set, intersect
 from .ordinal import ZERO, Ordinal
-from .sequences import (Aff, Constant, Opaque, Parity, SymInt, bump_start,
+from .sequences import (Aff, Band, Constant, Opaque, Parity, ParityS, SymInt, bump_start,
                         classify, eq_const_truthset, eq_truthset, parity_sym,
                         per_parity, sym_abs, sym_add, sym_scale, sym_start,
                         sym_sub, sym_value, zone_by_magnitude)
 
 DEFAULT_WINDOW_MARGIN = 2
 SEARCH_POP_BUDGET = 20_000
+TIP = (1, 0)  # (omega, finite) cost of entering or leaving a section at a tip
 
 
 # ====== Identifiers ======
@@ -175,83 +192,51 @@ class WalkSummary:
         return " -> ".join(names)
 
 
-# ====== Symbolic helpers ======
+# ====== The exits-and-skeleton rule ======
 
-def _pair_const(omega: int, finite: int, start: int = 0) -> tuple[SymInt, SymInt]:
-    return Aff(0, omega, start), Aff(0, finite, start)
+def _read_skeleton(cls) -> tuple[tuple[int, int] | None, dict]:
+    """(f, exits) of the rule in the module docstring; TypeError outside H1-H3.
 
-
-def _abs_scaled(delta: SymInt, factor: int) -> SymInt:
-    return sym_scale(factor, sym_abs(delta))
-
-
-def _updown(delta: SymInt, up: tuple[int, int], down: tuple[int, int]) -> SymInt | None:
-    """Piecewise-linear in delta: up[0]*d+up[1] when d >= 1, down[0]*|d|+down[1] otherwise."""
-    value = lambda d: up[0] * d + up[1] if d >= 1 else down[0] * (-d) + down[1]
-    # one evaluator for both branches, so branches of one class stay one form
-    return per_parity(_piecewise, delta, value, lambda n: value(sym_value(delta, n)))
-
-
-def _piecewise(delta: SymInt, value: Callable[[int], int],
-               fn: Callable[[int], int]) -> SymInt | None:
-    """value(delta) on one parity branch of delta; fn evaluates the whole sequence."""
-    c = classify(delta)
-    start = sym_start(delta)
-    if c.value is not None:
-        return Aff(0, value(c.value), start)
-    if c.kind in ("pinf", "ninf"):
-        return Opaque(fn, to_pinf=True, start=start)
-    if c.kind == "range":
-        if c.lo >= 1:
-            lo, hi = value(c.lo), value(c.hi)
-        elif c.hi <= 0:
-            lo, hi = value(c.hi), value(c.lo)
-        else:
-            pieces = [value(d) for d in (0, 1, c.lo, c.hi)]
-            lo, hi = min(pieces), max(pieces)
-        return Opaque(fn, lo=min(lo, hi), hi=max(lo, hi), start=start)
-    return None
-
-
-def _position_gap(ta: NodeTerm, tb: NodeTerm) -> SymInt:
-    """|p_a - p_b| of two terms whose second parameter is a position."""
-    return sym_abs(sym_sub(ta.param_syms()[1], tb.param_syms()[1]))
-
-
-def _same_kind_section(ta: NodeTerm, tb: NodeTerm) -> TruthSet | None:
-    """{n : same section} when the constructor and first index name the section."""
-    if ta.ctor != tb.ctor:
-        return finite_set()
-    return eq_truthset(sym_sub(ta.param_syms()[0], tb.param_syms()[0]))
-
-
-def _series_one_sym(ta: NodeTerm, tb: NodeTerm) -> tuple[SymInt, SymInt] | None:
-    """x1-x1 and x1-section forms of a series of sections glued tip to tip.
-
-    x1:k sits between sections k-1 and k, and crossing a section costs w*2.
+    f is the cost from every indexed 1-node to the apex (None: no apex), and
+    exits maps each constructor to its (offset from the base index, or None
+    for the apex, cost) pairs.
     """
-    if ta.ctor == "x1" and tb.ctor == "x1":
-        delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-        return _abs_scaled(delta, 2), Aff(0, 0, sym_start(delta))
-    if tb.ctor == "x1":
-        ta, tb = tb, ta
-    delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])  # x1 index minus section index
-    omega = _updown(delta, up=(2, -1), down=(2, 1))
-    if omega is None:
-        return None
-    return omega, Aff(0, 0, sym_start(delta))
+    def need(ok: bool, why: str) -> None:
+        if not ok:
+            raise TypeError(f"{cls.__name__}.INCIDENCE is outside the "
+                            f"exits-and-skeleton rule: {why}")
+
+    indexed = {row.one for row in cls.INCIDENCE if row.fan != "sections"}
+    need(len(indexed) == 1, "H1, one indexed 1-node kind")
+    offsets: dict[str, list[int]] = {}
+    for row in cls.INCIDENCE:
+        if not row.fan:
+            need(row.embedded is None and row.offset in (-1, 0)
+                 and row.offset not in offsets.get(row.section, ()), "H2, tips at -1 and 0")
+            offsets.setdefault(row.section, []).append(row.offset)
+    need([len(o) for o in offsets.values()].count(2) == 1, "H2, one line kind")
+    fans = [row for row in cls.INCIDENCE if row.fan]
+    need(len(fans) <= 1, "H3, at most one apex")
+    apex, f = (fans or [None])[0], None
+    exits = {indexed.pop(): ((0, (0, 0)),)}  # a 1-node is its own exit
+    if apex is not None and apex.fan == "sections":
+        need(len(offsets.get(apex.section, ())) == 1, "H3, the apex a tip from each x_k")
+        f, exits[apex.one] = (2, 0), ((None, (0, 0)),)  # tip in, tip out
+    elif apex is not None:
+        need(None not in (apex.hub, apex.embedded) and apex.section not in offsets,
+             "H3, a hub in a section of its own")
+        f = (0, cls().section_distance(apex.embedded(0), apex.hub))
+    for ctor, kind in cls.TERM_SECTION.items():
+        exits[ctor] = tuple((-offset, TIP) for offset in offsets.get(kind, ()))
+        if apex is not None and kind == apex.section:
+            need(apex.fan == "sections" or not cls.TERM_ARITY[ctor],
+                 "H3, the hub's section names only the hub")
+            exits[ctor] += ((None, TIP if apex.fan == "sections" else (0, 0)),)
+    return f, exits
 
 
-def _sym_min(*forms: SymInt | None) -> SymInt | None:
-    """Indexwise minimum of eventually constant forms on one parity branch."""
-    if len(forms) == 1:
-        return forms[0]
-    if any(f is None for f in forms):
-        return None
-    values = [classify(f).value for f in forms]
-    if None in values:
-        return None
-    return Aff(0, min(values), max(sym_start(f) for f in forms))
+def _join_pairs(even: tuple[SymInt, SymInt], odd: tuple[SymInt, SymInt]):
+    return parity_sym(even[0], odd[0]), parity_sym(even[1], odd[1])
 
 
 def _by_parity(form: Callable[[NodeTerm, NodeTerm], tuple[SymInt, SymInt] | None],
@@ -268,7 +253,7 @@ def _by_parity(form: Callable[[NodeTerm, NodeTerm], tuple[SymInt, SymInt] | None
     odd = form(branch(ta, "odd"), branch(tb, "odd"))
     if even is None or odd is None:
         return None
-    return parity_sym(even[0], odd[0]), parity_sym(even[1], odd[1])
+    return _join_pairs(even, odd)
 
 
 # ====== Base class ======
@@ -293,6 +278,7 @@ class OneGraph:
             cls._BY_SECTION.setdefault(row.section, []).append(row)
             if row.hub is not None:
                 cls._HUB[row.section] = row.hub
+        cls._APEX_COST, cls._EXITS = _read_skeleton(cls)
 
     # -- membership --
     def contains(self, ref) -> bool:
@@ -316,9 +302,6 @@ class OneGraph:
 
     def section_distance(self, u, v) -> int:
         """Finite 0-distance inside a shared section."""
-        raise NotImplementedError
-
-    def sections(self, horizon: int) -> Iterator[SectionId]:
         raise NotImplementedError
 
     def one_node_ids(self, horizon: int) -> Iterator[OneNodeId]:
@@ -391,6 +374,7 @@ class OneGraph:
 
     # -- terms --
     TERM_ARITY: dict[str, int] = {}
+    TERM_SECTION: dict[str, str] = {}  # 0-node constructor -> its section kind
 
     def instantiate_term(self, ctor: str, args: tuple[int, ...]):
         raise NotImplementedError
@@ -418,8 +402,89 @@ class OneGraph:
 
     def symbolic_wdistance(self, ta: NodeTerm,
                            tb: NodeTerm) -> tuple[SymInt, SymInt] | None:
-        """Certified (omega part, finite part) of n -> wdistance(ta(n), tb(n))."""
-        return None
+        """Certified (omega part, finite part) of n -> wdistance(ta(n), tb(n)),
+        by the exits-and-skeleton rule of the module docstring."""
+        ta = self.promote_term(self.normalize_term(ta))
+        tb = self.promote_term(self.normalize_term(tb))
+        ea, eb = self._EXITS[ta.ctor], self._EXITS[tb.ctor]
+        syms_a, syms_b = ta.param_syms(), tb.param_syms()
+        # the base indices are the first parameters; only apex terms have none
+        delta = sym_sub(syms_b[0], syms_a[0]) if syms_a and syms_b else None
+        start = 0 if delta is None else sym_start(delta)
+
+        def cross(start: int) -> tuple[SymInt, SymInt] | None:
+            if delta is None:
+                omega, finite = self._route(ea, eb, 0)
+                return Aff(0, omega, start), Aff(0, finite, start)
+            if isinstance(delta, ParityS):
+                return per_parity(self._exit_form, delta, ea, eb, start, join=_join_pairs)
+            return self._exit_form(delta, ea, eb, start)
+
+        kind_a, kind_b = self.TERM_SECTION.get(ta.ctor), self.TERM_SECTION.get(tb.ctor)
+        if kind_a is None or kind_b is None:
+            return cross(start)
+        same = (finite_set() if kind_a != kind_b
+                else cofinite_set() if delta is None else eq_truthset(delta))
+        return self._by_section(ta, tb, same, start, lambda: self._section_gap(ta, tb), cross)
+
+    def _section_gap(self, ta: NodeTerm, tb: NodeTerm) -> SymInt | None:
+        """In-section distance of two 0-node terms that share a section: by
+        default |p_a - p_b| of their second parameters, the positions."""
+        return sym_abs(sym_sub(ta.param_syms()[1], tb.param_syms()[1]))
+
+    def _route(self, ea: tuple, eb: tuple, delta: int) -> tuple[int, int]:
+        """F(delta): the least exit + skeleton + exit, as (omega, finite)."""
+        f = self._APEX_COST
+        best = None
+        for oa, (wa, fa) in ea:
+            for ob, (wb, fb) in eb:
+                if oa is None or ob is None:
+                    leg = (0, 0) if oa is ob else f
+                else:
+                    gap = abs(delta + ob - oa)
+                    leg = (2 * gap, 0) if f is None else min((2 * gap, 0), (2 * f[0], 2 * f[1]))
+                total = (wa + wb + leg[0], fa + fb + leg[1])
+                if best is None or total < best:
+                    best = total
+        return best
+
+    def _exit_form(self, delta: SymInt, ea: tuple, eb: tuple,
+                   start: int) -> tuple[SymInt, SymInt] | None:
+        """F(delta) on one parity branch of delta, by delta's class: the value of
+        an exact delta; for a diverging one the closed form of F, or F's constant
+        where an apex caps it; else F's range over the deltas the class allows."""
+        c = None if isinstance(delta, Aff) and delta.a == 0 else classify(delta)
+        value = delta.b if c is None else c.value
+        if value is not None:
+            omega, finite = self._route(ea, eb, value)
+            return Aff(0, omega, start), Aff(0, finite, start)
+        # b's exits sit k1..k2 past a's, on top of delta
+        ks = [ob - oa for oa, _ in ea if oa is not None for ob, _ in eb if ob is not None]
+        k1, k2 = min(ks), max(ks)
+        if self._APEX_COST is None and c.kind != "range":
+            # F = costs + c * (gap between the exit intervals), which is
+            # costs - (k2 - k1) + |2 delta + k1 + k2| unless the two intervals
+            # coincide, as only a shared section's do
+            line = sym_abs(sym_add(sym_scale(2, delta), Aff(0, k1 + k2)))
+            shift = ea[0][1][0] + eb[0][1][0] - (k2 - k1)  # every exit of a term costs alike
+            omega = line if shift == 0 else sym_add(line, Aff(0, shift))
+            return omega, Aff(0, 0, start)
+        lo, hi = (c.lo, c.hi) if c.kind == "range" else (None, None)
+        if c.kind in ("pinf", "ninf") and isinstance(delta, (Aff, Band)):
+            # from where the nearest exit pair is two apart, so is every pair
+            near = sym_add(delta, Aff(0, k1 if c.kind == "pinf" else k2))
+            start = max(start, sym_start(zone_by_magnitude(near, (0, 1, 2))))
+            lo, hi = (2 - k1, None) if c.kind == "pinf" else (None, -2 - k2)
+        # F's range over the deltas allowed from start on: F bends only in -2-k2..2-k1
+        values = [self._route(ea, eb, d) for d in {lo, hi, *range(-2 - k2, 3 - k1)}
+                  if d is not None and (lo is None or d >= lo) and (hi is None or d <= hi)]
+        parts = []
+        for i in (0, 1):
+            least, most = min(v[i] for v in values), max(v[i] for v in values)
+            parts.append(Aff(0, least, start) if least == most else Opaque(
+                lambda n, i=i: self._route(ea, eb, sym_value(delta, n))[i],
+                lo=least, hi=most, start=start))
+        return tuple(parts)
 
     def _by_section(self, ta: NodeTerm, tb: NodeTerm, same: TruthSet | None, start: int,
                     same_finite: Callable[[], SymInt | None],
@@ -506,7 +571,8 @@ def wdistance_witness(g: OneGraph, x, y,
     The vertex set is the two endpoints, the 1-nodes inside an index window
     around them and the hubs of their sections; for the catalog families no
     shortest walk leaves that window, since crossing extra sections only
-    ever adds tip costs.
+    ever adds tip costs.  A hub stands for its star's pairs, so a fan of W
+    1-nodes costs O(W) edges; the summary folds a hub stop into one leg.
     """
     x, y = promote(g, x), promote(g, y)
     if x == y:
@@ -577,15 +643,12 @@ def wdistance_witness(g: OneGraph, x, y,
     return total, WalkSummary(total, tuple(reversed(stops)), tuple(reversed(legs)))
 
 
-def wdistance(g: OneGraph, x, y, margin: int = DEFAULT_WINDOW_MARGIN) -> Ordinal:
-    """Minimum walk length between two nodes, from the exact closed form first.
+def wdistance(g: OneGraph, x, y) -> Ordinal:
+    """Minimum walk length between two nodes, read from the exact form.
 
-    Two 0-nodes of one section sit at their in-section distance: no 1-node
-    kind is embedded in more than one section, so a walk that leaves the
-    section crosses a tip and costs at least w.  Any other pair reads the
-    family's `symbolic_wdistance` of the two constant terms; for constant
-    terms an exact eventual value is the value itself.  A pair without an
-    exact form falls back to the search, `wdistance_witness`.
+    Two 0-nodes of one section sit at their in-section distance; any other
+    pair is the exact value of `symbolic_wdistance` on the constant terms
+    naming it.  No search runs: a pair without one raises IndeterminateError.
     """
     x, y = promote(g, x), promote(g, y)
     if x == y:
@@ -594,12 +657,10 @@ def wdistance(g: OneGraph, x, y, margin: int = DEFAULT_WINDOW_MARGIN) -> Ordinal
             and g.section_of(x) == g.section_of(y):
         return Ordinal(0, g.section_distance(x, y))
     pair = g.symbolic_wdistance(g.node_term(x), g.node_term(y))
-    if pair is not None:
-        omega, finite = classify(pair[0]).value, classify(pair[1]).value
-        if omega is not None and finite is not None:
-            return Ordinal(omega, finite)
-    total, _ = wdistance_witness(g, x, y, margin)
-    return total
+    omega, finite = (None, None) if pair is None else [classify(p).value for p in pair]
+    if omega is None or finite is None:
+        raise IndeterminateError(f"no exact walk distance between {x!r} and {y!r}")
+    return Ordinal(omega, finite)
 
 
 # ====== Boundary structure ======
@@ -617,34 +678,6 @@ def boundary_one_nodes(g: OneGraph, horizon: int = 64) -> Iterator[OneNodeId]:
             yield one_id
 
 
-def one_adjacent(g: OneGraph, a: OneNodeId, b: OneNodeId, horizon: int = 64) -> bool:
-    """1-adjacent means incident to a shared section."""
-    g.require_member(a)
-    g.require_member(b)
-    window = (-horizon, horizon)
-    sections_a = {inc.section for inc in g.sections_of(a, window)}
-    return any(inc.section in sections_a for inc in g.sections_of(b, window))
-
-
-@dataclass(frozen=True)
-class SeparationVerdict:
-    applicable: bool
-    passed: bool | None
-    distance: Ordinal | None
-    reason: str = ""
-
-
-def check_separation_bound(g: OneGraph, a: OneNodeId, b: OneNodeId) -> SeparationVerdict:
-    """Non-1-adjacent 1-nodes must sit at walk distance at least w."""
-    if a == b or one_adjacent(g, a, b):
-        return SeparationVerdict(False, None, None, "nodes share a section")
-    try:
-        d = wdistance(g, a, b)
-    except UnreachableError:
-        return SeparationVerdict(False, None, None, "not 1-wconnected within budget")
-    return SeparationVerdict(True, d >= Ordinal(1, 0), d)
-
-
 # ====== Families ======
 
 class DiamondChain(OneGraph):
@@ -657,6 +690,7 @@ class DiamondChain(OneGraph):
 
     family = "diamond_chain"
     TERM_ARITY = {"j": 2, "l": 2, "r": 2, "x0": 1, "x1": 1}
+    TERM_SECTION = {"j": "chain", "l": "chain", "r": "chain"}  # x0 normalizes to j
     # x1:k glues the right tip of chain k-1 to the left tip of chain k
     INCIDENCE = (Touch("x1", "chain", -1), Touch("x1", "chain", 0))
 
@@ -682,9 +716,6 @@ class DiamondChain(OneGraph):
             return 2
         return abs(self._height(u) - self._height(v))
 
-    def sections(self, horizon):
-        return (SectionId("chain", k) for k in range(horizon))
-
     def ref_indices(self, ref) -> list[int]:
         return [ref.index if isinstance(ref, OneNodeId) else ref.chain]
 
@@ -707,16 +738,7 @@ class DiamondChain(OneGraph):
             return NodeTerm("j", (term.params[0], Constant(0)))
         return term
 
-    def symbolic_wdistance(self, ta, tb):
-        ta, tb = self.normalize_term(ta), self.normalize_term(tb)
-        if "x1" in (ta.ctor, tb.ctor):
-            return _series_one_sym(ta, tb)
-        delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-        return self._by_section(ta, tb, eq_truthset(delta), sym_start(delta),
-                                lambda: self._same_chain_distance(ta, tb),
-                                lambda start: (_abs_scaled(delta, 2), Aff(0, 0, start)))
-
-    def _same_chain_distance(self, ta, tb) -> SymInt | None:
+    def _section_gap(self, ta, tb) -> SymInt | None:
         da, db = ta.param_syms()[1], tb.param_syms()[1]
         ha = sym_add(sym_scale(2, da), Aff(0, 0 if ta.ctor == "j" else 1))
         hb = sym_add(sym_scale(2, db), Aff(0, 0 if tb.ctor == "j" else 1))
@@ -749,6 +771,7 @@ class OnePathOfEndlessPaths(OneGraph):
 
     family = "one_path_of_endless_paths"
     TERM_ARITY = {"e": 2, "x1": 1}
+    TERM_SECTION = {"e": "seg"}
     # x1:k glues the positive tip of seg k-1 to the negative tip of seg k
     INCIDENCE = (Touch("x1", "seg", -1), Touch("x1", "seg", 0))
     two_way = True
@@ -765,9 +788,6 @@ class OnePathOfEndlessPaths(OneGraph):
     def section_distance(self, u, v) -> int:
         return abs(u.pos - v.pos)
 
-    def sections(self, horizon):
-        return (SectionId("seg", k) for k in self._indices(horizon))
-
     def ref_indices(self, ref) -> list[int]:
         return [ref.index if isinstance(ref, OneNodeId) else ref.seg]
 
@@ -782,14 +802,6 @@ class OnePathOfEndlessPaths(OneGraph):
         if isinstance(ref, OneNodeId):
             return super().node_term(ref)
         return NodeTerm("e", (Constant(ref.seg), Constant(ref.pos)))
-
-    def symbolic_wdistance(self, ta, tb):
-        if "x1" in (ta.ctor, tb.ctor):
-            return _series_one_sym(ta, tb)
-        delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-        return self._by_section(ta, tb, eq_truthset(delta), sym_start(delta),
-                                lambda: _position_gap(ta, tb),
-                                lambda start: (_abs_scaled(delta, 2), Aff(0, 0, start)))
 
     def sample_maximal_nodes(self, rng, count, span=6):
         out = []
@@ -812,6 +824,7 @@ class LadderOfEndlessPaths(OneGraph):
     family = "ladder_of_endless_paths"
     locally_section_finite = False  # xg touches every vertical section
     TERM_ARITY = {"v": 2, "h": 2, "x1": 1, "xg": 0}
+    TERM_SECTION = {"v": "v", "h": "h"}
     # x1:k joins v k, h k-1 and h k; the ground holds a tip of every v section
     INCIDENCE = (Touch("xg", "v", fan="sections"), Touch("x1", "v", 0),
                  Touch("x1", "h", -1), Touch("x1", "h", 0))
@@ -829,11 +842,6 @@ class LadderOfEndlessPaths(OneGraph):
 
     def section_distance(self, u, v) -> int:
         return abs(u.pos - v.pos)
-
-    def sections(self, horizon):
-        for k in range(horizon):
-            yield SectionId("v", k)
-            yield SectionId("h", k)
 
     def anchor_one(self):
         return OneNodeId("xg")
@@ -856,46 +864,6 @@ class LadderOfEndlessPaths(OneGraph):
         if isinstance(ref, OneNodeId):
             return super().node_term(ref)
         return NodeTerm(ref.rail, (Constant(ref.index), Constant(ref.pos)))
-
-    @staticmethod
-    def _tips(ctor: str, syms: tuple[SymInt, ...]) -> list:
-        """Indices of the 1-nodes a term's walks leave through; None is xg.
-
-        A 1-node is its own tip; section v k ends in x1:k and xg, h k in
-        x1:k and x1:k+1.
-        """
-        if ctor == "xg":
-            return [None]
-        if ctor == "x1":
-            return [syms[0]]
-        return [syms[0], None] if ctor == "v" else [syms[0], sym_add(syms[0], Aff(0, 1))]
-
-    @staticmethod
-    def _tip_gap(i: SymInt | None, j: SymInt | None) -> SymInt | None:
-        """Omega coefficient between two 1-nodes: along h sections, or via xg."""
-        if i is None or j is None:
-            return Aff(0, 0 if i is j else 2)
-        return zone_by_magnitude(sym_sub(i, j), (0, 2, 4))
-
-    def symbolic_wdistance(self, ta, tb):
-        syms_a, syms_b = ta.param_syms(), tb.param_syms()
-        start = max([0] + [sym_start(s) for s in syms_a + syms_b])
-        # each 0-node endpoint pays w to reach a tip of its section
-        ends = (ta.ctor in ("v", "h")) + (tb.ctor in ("v", "h"))
-        gaps = [self._tip_gap(i, j) for i in self._tips(ta.ctor, syms_a)
-                for j in self._tips(tb.ctor, syms_b)]
-        gap = per_parity(_sym_min, *gaps)
-        if gap is None:
-            return None
-        omega = sym_add(gap, Aff(0, ends)) if ends else gap
-
-        def cross(start: int) -> tuple[SymInt, SymInt]:
-            return bump_start(omega, start), Aff(0, 0, start)
-
-        if ends < 2:
-            return cross(start)
-        return self._by_section(ta, tb, _same_kind_section(ta, tb), start,
-                                lambda: _position_gap(ta, tb), cross)
 
     def sample_maximal_nodes(self, rng, count, span=6):
         out = []
@@ -922,6 +890,7 @@ class PartialLadderOfEndlessPaths(OneGraph):
     family = "partial_ladder"
     locally_1_finite = False  # the star meets every rung 1-node
     TERM_ARITY = {"h": 2, "zg": 1, "xg": 0, "x1": 1}
+    TERM_SECTION = {"h": "h", "xg": "star"}  # zg promotes to x1
     # x1:k holds the star leaf toward x_k and joins h k-1 and h k at tips
     INCIDENCE = (Touch("x1", "star", fan="ones", embedded=StarNode, hub=StarNode(None)),
                  Touch("x1", "h", -1), Touch("x1", "h", 0))
@@ -945,10 +914,6 @@ class PartialLadderOfEndlessPaths(OneGraph):
         if isinstance(u, StarNode):
             return 1 if None in (u.leaf, v.leaf) else 2
         return abs(u.pos - v.pos)
-
-    def sections(self, horizon):
-        yield SectionId("star")
-        yield from (SectionId("h", k) for k in range(horizon))
 
     def one_node_containing(self, zero_node):
         if isinstance(zero_node, StarNode) and zero_node.leaf is not None:
@@ -986,42 +951,9 @@ class PartialLadderOfEndlessPaths(OneGraph):
             return NodeTerm("x1", term.params)
         return term
 
-    def symbolic_wdistance(self, ta, tb):
-        ta, tb = self.promote_term(ta), self.promote_term(tb)
-        start = max([0] + [sym_start(s) for s in ta.param_syms() + tb.param_syms()])
-        if ta.ctor == "xg" and tb.ctor == "xg":
-            return _pair_const(0, 0, start)
-        if {ta.ctor, tb.ctor} == {"xg", "x1"}:
-            return _pair_const(0, 1, start)
-        if ta.ctor == "x1" and tb.ctor == "x1":
-            delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-            fin = zone_by_magnitude(delta, (0, 2, 2))
-            if fin is None:
-                return None
-            return Aff(0, 0, start), fin
-        if "h" not in (ta.ctor, tb.ctor):
-            return None
-        if tb.ctor == "h" and ta.ctor != "h":
-            ta, tb = tb, ta
-        if tb.ctor == "xg":
-            return _pair_const(1, 1, start)
-        if tb.ctor == "x1":
-            k, m = ta.param_syms()[0], tb.param_syms()[0]
-            # nearest 1-node of section h_k is x1_k or x1_{k+1}
-            fin = per_parity(_sym_min, zone_by_magnitude(sym_sub(m, k), (0, 2, 2)),
-                             zone_by_magnitude(sym_sub(m, sym_add(k, Aff(0, 1))), (0, 2, 2)))
-            if fin is None:
-                return None
-            return Aff(0, 1, start), fin
-        delta = sym_sub(ta.param_syms()[0], tb.param_syms()[0])
-        return self._by_section(ta, tb, eq_truthset(delta), start,
-                                lambda: _position_gap(ta, tb),
-                                lambda start: self._cross_rails(delta, start))
-
-    @staticmethod
-    def _cross_rails(delta: SymInt, start: int) -> tuple[SymInt, SymInt] | None:
-        fin = zone_by_magnitude(delta, (0, 0, 2))
-        return None if fin is None else (Aff(0, 2, start), fin)
+    def _section_gap(self, ta, tb):
+        # the star's only named 0-node is its hub
+        return Aff(0, 0) if ta.ctor == "xg" else super()._section_gap(ta, tb)
 
     def sample_maximal_nodes(self, rng, count, span=6):
         out = []

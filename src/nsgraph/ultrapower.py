@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from .graphs import Exhausted, GraphInstance, NodeTerm
 from .kernel import (
@@ -37,7 +37,6 @@ from .sequences import (
     eq_const_truthset,
     eq_truthset,
     per_parity,
-    perturb_sequence,
     sym_start,
     sym_sub,
     sym_value,
@@ -189,24 +188,6 @@ def is_standard(h: Hypernode, horizon: int = DEFAULT_HORIZON) -> Trivalent:
         if agreement.kind == "split":
             split_seen = True
     return Trivalent.FILTER_DEPENDENT if split_seen else Trivalent.FALSE
-
-
-def perturb_hypernode(h: Hypernode, overrides: Mapping[int, tuple[int, ...]],
-                      prefix: int = 64) -> Hypernode:
-    """Rewrite finitely many generated nodes; the point itself must not move."""
-    arity = len(h.term.params)
-    if overrides and arity == 0:
-        raise ValueError(f"{h.term.describe()} has no parameters to perturb")
-    per_param: list[dict[int, int]] = [{} for _ in range(arity)]
-    for n, vec in overrides.items():
-        if len(vec) != arity:
-            raise ValueError(
-                f"override at index {n} has {len(vec)} coordinates, expected {arity}")
-        h.graph.require_member(h.graph.instantiate_term(h.term.ctor, tuple(vec)))
-        for i, v in enumerate(vec):
-            per_param[i][n] = v
-    params = tuple(perturb_sequence(p, m) for p, m in zip(h.term.params, per_param))
-    return make_hypernode(h.graph, NodeTerm(h.term.ctor, params), prefix)
 
 
 # ====== Hyperordinals ======

@@ -21,13 +21,12 @@ from nsgraph.kernel import (Trivalent, cofinite_set, finite_set, in_filter,
 from nsgraph.ordinal import Ordinal
 from nsgraph.oracles import enumeration_wdistance
 from nsgraph.sequences import Aff, Affine, Constant, Parity
-from nsgraph.transfinite import (check_separation_bound, is_boundary,
-                                 make_one_graph, wdistance, wdistance_witness)
+from nsgraph.transfinite import is_boundary, make_one_graph, wdistance, wdistance_witness
 from nsgraph.ultrapower import (HyperOrder, compare_hyperordinals,
                                 hyperdistance, hypernode_eq,
                                 hyperordinal_from_syms, is_standard,
-                                make_hyperbranch, make_hypernode, node_at,
-                                perturb_hypernode)
+                                make_hyperbranch, make_hypernode, node_at)
+from support import check_separation_bound, perturb_hypernode
 
 GRID_EDITS = [{"op": "add", "a": [0, 0], "b": [2, 2]},
               {"op": "remove", "a": [0, 0], "b": [0, 1]}]

@@ -188,6 +188,21 @@ def test_order_suite_samples_an_incomparable_pair(tmp_path, capsys):
                       "0 indeterminate")
 
 
+def test_diamond_chain_closer_reads_receding_points_exactly(tmp_path, capsys):
+    # the distance from a section to a 1-node stays an exact form while it
+    # diverges, so these pairs are decided rather than refused
+    pairs = [("r:2n+2,2", "r:3n+7,8"), ("r:2n+2,2", "r:2n+7,8"), ("j:n,0", "x1:n+5")]
+    jobs = [{"graph": "diamond_chain", "command": "closer", "x": x, "y": y}
+            for x, y in pairs]
+    code, records = run(tmp_path, capsys, jobs)
+    assert code == 0
+    assert [r["result"]["verdict"] for r in records] == ["true", "false", "false"]
+    for seed in ("0", "5"):
+        order = [{"graph": "diamond_chain", "command": "check", "suite": "order"}]
+        _, records = run(tmp_path, capsys, order, "--seed", seed)
+        assert records[0]["result"]["results"][0]["detail"].endswith(" 0 indeterminate")
+
+
 def test_chain_deeper_than_the_cap_is_one_error_record(tmp_path, capsys):
     jobs = [dict(OEP_CHAIN, m=1001), OEP_CHAIN]
     code, records = run(tmp_path, capsys, jobs)

@@ -17,11 +17,12 @@ from nsgraph.sequences import (Aff, Affine, Band, BoundedDecl, Constant,
                                Explicit, Floor, MonotoneUnboundedDecl,
                                Opaque, Parity, ParityS, Patched,
                                SequenceDeclarationError, classify,
-                               eq_truthset, parity_sym, perturb_sequence,
+                               eq_truthset, parity_sym,
                                sym_abs, sym_add, sym_neg, sym_scale, sym_start,
                                sym_sub, sym_value, validate_declaration,
                                zone_by_magnitude)
 from nsgraph.ultrapower import compare_hyperordinals, hyperordinal_from_syms
+from support import perturb_sequence
 
 
 def test_sequence_values():

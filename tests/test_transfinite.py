@@ -6,23 +6,26 @@ seeded random sweeps comparing the lazy search against that oracle.
 """
 
 import collections
-import itertools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nsgraph import oracles, transfinite
 from nsgraph.graphs import NodeTerm, NotAMemberError
 from nsgraph.oracles import (enumeration_wdistance, oracle_section_distance)
 from nsgraph.ordinal import ZERO, Ordinal, natural_sum
-from nsgraph.sequences import Affine, Constant, Parity, sym_start, sym_value
-from nsgraph.transfinite import (DiamondNode, OneNodeId, RailNode, SectionId,
-                                 SegNode, StarNode, boundary_one_nodes,
-                                 check_separation_bound, is_boundary,
-                                 make_one_graph, one_adjacent, promote,
+from nsgraph.sequences import (Affine, BoundedDecl, Constant, Explicit, Floor,
+                               MonotoneUnboundedDecl, Parity, classify, sym_start,
+                               sym_value)
+from nsgraph.transfinite import (DiamondNode, OneGraph, OneNodeId, RailNode, SectionId,
+                                 SegNode, StarNode, Touch, boundary_one_nodes,
+                                 is_boundary, make_one_graph, promote,
                                  wdistance, wdistance_witness)
+from hand_forms import hand_wdistance
+from support import check_separation_bound, one_adjacent, sections
 
 FAMILIES = ("diamond_chain", "one_path_of_endless_paths",
             "ladder_of_endless_paths", "partial_ladder")
@@ -47,7 +50,7 @@ def test_family_flags():
 def is_locally_1_finite(g, sample_sections: int = 16, probe: int = 256) -> bool:
     """Probe sampled sections for an unbounded fan of boundary 1-nodes."""
     window = (-probe, probe)
-    for section in itertools.islice(g.sections(sample_sections), sample_sections):
+    for section in sections(g, sample_sections)[:sample_sections]:
         incident = {inc.one for inc in g.incidences(section, window)
                     if is_boundary(g, inc.one)}
         if len(incident) >= probe:
@@ -106,7 +109,7 @@ def test_incidence_tables_are_consistent():
     window = (-8, 8)
     for f in FAMILIES:
         g = make_one_graph(f)
-        for section in list(g.sections(6)):
+        for section in sections(g, 6):
             for inc in g.incidences(section, window):
                 assert inc in g.sections_of(inc.one, window)
 
@@ -548,3 +551,126 @@ def test_term_checking():
     assert g.term_node(NodeTerm("x0", (Affine(1, 0),)), 3) == DiamondNode("j", 3, 0)
     with pytest.raises(NotAMemberError):
         g.term_node(NodeTerm("j", (Affine(-1, 2), Constant(0))), 5)
+
+
+# ====== the exits-and-skeleton rule ======
+
+def _sequences(explicit: bool = True):
+    """Const, affine, floor and parity parameters; sometimes declared Explicit ones."""
+    plain = (st.integers(0, 9).map(Constant)
+             | st.builds(Affine, st.integers(-1, 2), st.integers(0, 9))
+             | st.builds(Floor, st.integers(1, 3), st.integers(0, 5),
+                         st.integers(2, 3), st.integers(0, 2)))
+    if explicit:
+        bounded = st.builds(lambda k, m: Explicit(lambda n: n * m % (k + 1), BoundedDecl(k)),
+                            st.integers(1, 4), st.integers(2, 7))
+        rising = st.integers(0, 4).map(
+            lambda c: Explicit(lambda n: n // 2 + c, MonotoneUnboundedDecl()))
+        plain = plain | bounded | rising
+    return plain | st.builds(Parity, plain, plain)
+
+
+def _terms(g, data, explicit: bool = True):
+    ctors = sorted(g.TERM_ARITY)
+    ta, tb = (NodeTerm(ctor, tuple(data.draw(_sequences(explicit))
+                                   for _ in range(g.TERM_ARITY[ctor])))
+              for ctor in (data.draw(st.sampled_from(ctors)) for _ in range(2)))
+    return (ta, tb) if data.draw(st.booleans()) else (tb, ta)
+
+
+def _settled_values(g, pair, ta, tb):
+    """The form's values and the search's at two settled indices of each parity."""
+    start = max(sym_start(pair[0]), sym_start(pair[1]))
+    start += start % 2
+    for n in range(start, start + 4):
+        try:
+            x, y = g.term_node(ta, n), g.term_node(tb, n)
+        except NotAMemberError:
+            assume(False)
+        d = wdistance_witness(g, x, y)[0]
+        yield n, tuple(sym_value(part, n) for part in pair), (d.omega_coeff, d.finite_part)
+
+
+def _within(c, value: int, n: int) -> bool:
+    """Does the value at index n lie in its class?"""
+    c = c.branches[n % 2]
+    if c.kind == "range":
+        return c.lo <= value <= c.hi
+    return c.kind != "ninf" or value < 0  # distances never go to -inf
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_derived_form_equals_the_search(family, data):
+    g = make_one_graph(family)
+    ta, tb = _terms(g, data)
+    pair = g.symbolic_wdistance(ta, tb)
+    if pair is None:
+        return  # a refusal never guesses
+    classes = [classify(part) for part in pair]
+    for n, got, want in _settled_values(g, pair, ta, tb):
+        assert got == want, (ta, tb, n)
+        assert all(_within(c, v, n) for c, v in zip(classes, got)), (ta, tb, n, classes)
+
+
+def _as_tight(derived, hand) -> bool:
+    """Is the derived class the hand one or inside it, on each parity branch?"""
+    for d, h in zip(derived.branches, hand.branches):
+        if h.kind == "range":
+            if d.kind != "range" or d.lo < h.lo or d.hi > h.hi or h.exact and not d.exact:
+                return False
+        elif h.kind != "unknown" and d.kind != h.kind:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_derived_form_is_as_tight_as_the_hand_form(family, data):
+    g = make_one_graph(family)
+    ta, tb = _terms(g, data)
+    hand = hand_wdistance(g, ta, tb)
+    if hand is None:
+        return
+    pair = g.symbolic_wdistance(ta, tb)
+    assert pair is not None, (ta, tb)
+    assert all(_as_tight(classify(d), classify(h)) for d, h in zip(pair, hand)), (ta, tb)
+    start = max(sym_start(part) for part in pair + hand)
+    for n in (start, start + 1):
+        assert [sym_value(p, n) for p in pair] == [sym_value(p, n) for p in hand], (ta, tb, n)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_no_distance_form_runs_the_search(family, data):
+    g = make_one_graph(family)
+    ta, tb = _terms(g, data, explicit=False)
+    refuse = mock.Mock(side_effect=AssertionError("the quotient search ran"))
+    with mock.patch.object(transfinite, "wdistance_witness", refuse):
+        g.symbolic_wdistance(ta, tb)
+        n = data.draw(st.integers(0, 40))
+        try:
+            x, y = g.term_node(ta, n), g.term_node(tb, n)
+        except NotAMemberError:
+            return
+        wdistance(g, x, y)
+    refuse.assert_not_called()
+
+
+@pytest.mark.parametrize("table", [
+    (Touch("x1", "seg", -1), Touch("x1", "seg", 0), Touch("y1", "seg", 0)),
+    (Touch("x1", "seg", -1), Touch("x1", "seg", 0, embedded=SegNode)),
+    (Touch("x1", "seg", 0), Touch("x1", "rung", 0)),
+    (Touch("x1", "seg", -1), Touch("x1", "seg", 0), Touch("x1", "far", 1)),
+    (Touch("x1", "seg", -1), Touch("x1", "seg", 0), Touch("xg", "v", fan="sections"),
+     Touch("x1", "v", 0), Touch("xh", "w", fan="sections"), Touch("x1", "w", 0)),
+    (Touch("x1", "star", fan="ones", embedded=StarNode), Touch("x1", "h", -1),
+     Touch("x1", "h", 0)),
+], ids=["two indexed kinds", "embedded without a fan", "no line", "offset 1",
+        "two apexes", "fan without a hub"])
+def test_a_table_outside_the_rule_fails_at_class_creation(table):
+    with pytest.raises(TypeError, match="exits-and-skeleton"):
+        type("Outside", (OneGraph,), {"INCIDENCE": table})

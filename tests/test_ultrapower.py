@@ -25,8 +25,8 @@ from nsgraph.ultrapower import (AnchorProfile, HyperOrder, Hyperordinal,
                                 NotAHyperbranchError, compare_hyperordinals,
                                 hyperdistance, hypernode_eq,
                                 hyperordinal_from_syms, is_standard,
-                                make_hyperbranch, make_hypernode, node_at,
-                                perturb_hypernode)
+                                make_hyperbranch, make_hypernode, node_at)
+from support import perturb_hypernode
 
 
 def aff(a, b):
